@@ -43,13 +43,20 @@
 //! value — and for a journaled run whether it completed in one go or
 //! was interrupted and resumed; only the timing annotations and the
 //! JSON report vary.
+//!
+//! Each distinct run is simulated once per invocation; figures that
+//! plot the same runs share it through the run memo. The status line
+//! and the JSON report count `distinct_runs` (simulated) and
+//! `memo_hits` (requests served from the memo), and
+//! `accesses_per_sec` counts the accesses of simulated runs only.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tako_bench::campaign::{run_campaign, CampaignOpts};
+use tako_bench::memo::MemoStats;
 use tako_bench::{
-    run_all, run_all_catch, validate_base_config, warn_unknown, ExperimentResult, Opts, EXPERIMENTS,
+    run_all_catch, validate_base_config, warn_unknown, ExperimentResult, Opts, EXPERIMENTS,
 };
 use tako_sim::storage::{DiskStorage, FaultStorage, IoFaultPlan, Storage};
 
@@ -200,6 +207,7 @@ fn main() {
     }
 
     let t0 = Instant::now();
+    let memo: MemoStats;
     let results: Vec<(&str, Result<ExperimentResult, String>)> = if let Some(dir) = &flags.journal {
         let storage: Arc<dyn Storage> = match flags.io_faults.clone() {
             Some(plan) => Arc::new(FaultStorage::new(Arc::new(DiskStorage::new()), plan)),
@@ -224,6 +232,7 @@ fn main() {
                 if !outcome.io.is_clean() {
                     eprintln!("campaign: storage degraded: {}", outcome.io);
                 }
+                memo = outcome.memo;
                 outcome.results
             }
             Err(e) => {
@@ -231,10 +240,15 @@ fn main() {
                 std::process::exit(2);
             }
         }
-    } else if flags.keep_going {
-        run_all_catch(opts, flags.force_panic.as_deref())
     } else {
-        run_all(opts).into_iter().map(|r| (r.name, Ok(r))).collect()
+        let suite = run_all_catch(opts, flags.force_panic.as_deref());
+        if !flags.keep_going {
+            if let Some((name, Err(msg))) = suite.results.iter().find(|(_, r)| r.is_err()) {
+                panic!("{name}: {msg}");
+            }
+        }
+        memo = suite.memo;
+        suite.results
     };
     let total_wall = t0.elapsed();
 
@@ -298,11 +312,14 @@ fn main() {
     let total_s = total_wall.as_secs_f64();
     eprintln!(
         "all experiments: {}/{} ok in {total_s:.1}s wall on {} jobs, \
-         {accesses} simulated accesses ({:.0}/s)",
+         {accesses} simulated accesses ({:.0}/s), {} distinct runs simulated, \
+         {} served from the run memo",
         succeeded.len(),
         results.len(),
         opts.jobs,
         accesses as f64 / total_s.max(1e-9),
+        memo.distinct_runs,
+        memo.memo_hits,
     );
 
     if let Some(path) = flags.json_path {
@@ -311,6 +328,7 @@ fn main() {
             opts,
             total_s,
             accesses,
+            memo,
             baseline,
             &succeeded,
             trace_report.as_ref(),
@@ -375,6 +393,7 @@ fn bench_json(
     opts: Opts,
     total_wall_s: f64,
     accesses: u64,
+    memo: MemoStats,
     baseline_accesses_per_sec: Option<f64>,
     results: &[&ExperimentResult],
     trace: Option<&tako_sim::trace::TraceReport>,
@@ -390,6 +409,8 @@ fn bench_json(
     s.push_str(&format!("  \"seed\": {},\n", opts.seed));
     s.push_str(&format!("  \"total_wall_s\": {total_wall_s:.3},\n"));
     s.push_str(&format!("  \"simulated_accesses\": {accesses},\n"));
+    s.push_str(&format!("  \"distinct_runs\": {},\n", memo.distinct_runs));
+    s.push_str(&format!("  \"memo_hits\": {},\n", memo.memo_hits));
     let aps = accesses as f64 / total_wall_s.max(1e-9);
     s.push_str(&format!("  \"accesses_per_sec\": {aps:.0},\n"));
     if let Some(base) = baseline_accesses_per_sec {
@@ -411,9 +432,10 @@ fn bench_json(
     for (i, r) in results.iter().enumerate() {
         let comma = if i + 1 < results.len() { "," } else { "" };
         s.push_str(&format!(
-            "    \"{}\": {{\"wall_s\": {:.3}}}{comma}\n",
+            "    \"{}\": {{\"wall_s\": {:.3}, \"runs\": {}}}{comma}\n",
             r.name,
-            r.wall.as_secs_f64()
+            r.wall.as_secs_f64(),
+            r.runs
         ));
     }
     s.push_str("  }\n}\n");

@@ -60,7 +60,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use tako_sim::checkpoint::{decode, encode, Record, SnapError, SnapReader, SnapWriter, Snapshot};
 use tako_sim::digest::Sha256;
@@ -71,6 +71,7 @@ use tako_sim::storage::{
 };
 use tako_sim::supervise;
 
+use crate::memo::{MemoStats, RunMemo};
 use crate::{Experiment, ExperimentResult, Opts};
 
 // ---------------------------------------------------------------------
@@ -414,6 +415,9 @@ pub struct CampaignOutcome {
     /// transient-vs-permanent I/O degradation, surfaced in the
     /// campaign status line.
     pub io: IoHealth,
+    /// Distinct runs simulated and run requests served from the
+    /// invocation's run memo, across every attempt.
+    pub memo: MemoStats,
 }
 
 /// One completed experiment, journaled as a `.done` envelope.
@@ -698,6 +702,7 @@ pub fn run_campaign(
                         name,
                         output: rec.output,
                         wall: Duration::from_nanos(rec.wall_nanos),
+                        runs: 0,
                     }),
                 ));
             }
@@ -712,6 +717,9 @@ pub fn run_campaign(
     let inner = opts.serial();
     let log = c.dir.join("attempts.log");
     let mut attempts = 0u64;
+    // One memo for the whole invocation: a retry wave reuses every run
+    // an earlier wave finished.
+    let memo = Arc::new(RunMemo::default());
     for attempt in 1..=(1 + c.retries) {
         if todo.is_empty() {
             break;
@@ -747,7 +755,9 @@ pub fn run_campaign(
         } else {
             None
         };
+        let wave_memo = Arc::clone(&memo);
         let batch = parallel_map_catch(opts.jobs, todo.clone(), move |_, (name, f)| {
+            let _memo = wave_memo.arm();
             let units_path = dir.join(format!("{name}.units"));
             let _units = unit_journal(Arc::clone(&storage), &units_path, every, fingerprint)
                 .unwrap_or_else(|e| {
@@ -770,13 +780,7 @@ pub fn run_campaign(
             if Some(name) == force.as_deref() {
                 panic!("forced panic in {name} (--force-panic)");
             }
-            let t0 = Instant::now();
-            let output = f(inner);
-            ExperimentResult {
-                name,
-                output,
-                wall: t0.elapsed(),
-            }
+            ExperimentResult::run(name, f, inner)
         });
 
         let mut still_failing = Vec::new();
@@ -859,6 +863,7 @@ pub fn run_campaign(
         replayed,
         attempts,
         io: c.storage.health(),
+        memo: memo.stats(),
     })
 }
 

@@ -9,12 +9,63 @@
 //! [`run_variants`]: every simulation is an independent, seeded,
 //! single-threaded `TakoSystem`, and results are collected in input
 //! order, so the printed output does not depend on the job count.
+//!
+//! Every simulation is requested through `sim!`, which keys it on
+//! exactly the arguments it runs with, so under a suite's run memo a
+//! run that several figures plot is simulated once (DESIGN.md §7e).
 
 use tako_sim::config::{CoreConfig, EngineConfig, SystemConfig};
 use tako_sim::stats::Counter;
 use tako_workloads::{decompress, hats, nvm, phi, sidechannel, soa};
 
 use crate::{fx, pct, row, run_variants, Opts};
+
+/// `sim!(phi(v, &params, &cfg))` runs `phi::run(v, &params, &cfg)`
+/// through [`crate::memo::cached`], keyed on the workload name and the
+/// `Debug` rendering of those same arguments, so a key can never
+/// disagree with the run it names. The result keeps only its
+/// [`FigureData`].
+macro_rules! sim {
+    ($w:ident($v:expr, $p:expr, $cfg:expr)) => {
+        crate::memo::cached((stringify!($w), $v, $p, $cfg), || {
+            FigureData::figure_data($w::run($v, $p, $cfg))
+        })
+    };
+}
+
+/// The part of a run's result the figures read. A suite's memo holds
+/// every distinct run until the suite ends, so the O(vertices)
+/// functional outputs no figure reads — PHI's rank vector, HATS's
+/// scatter accumulator (128–144 MB per run under `--paper`) — are
+/// dropped as the run returns.
+trait FigureData: Sized {
+    fn figure_data(self) -> Self {
+        self
+    }
+}
+
+impl FigureData for phi::PhiResult {
+    fn figure_data(self) -> Self {
+        phi::PhiResult {
+            ranks: Vec::new(),
+            ..self
+        }
+    }
+}
+
+impl FigureData for hats::HatsResult {
+    fn figure_data(self) -> Self {
+        hats::HatsResult {
+            next: Vec::new(),
+            ..self
+        }
+    }
+}
+
+impl FigureData for decompress::DecompressResult {}
+impl FigureData for nvm::NvmResult {}
+impl FigureData for soa::SoaResult {}
+impl FigureData for sidechannel::SideChannelResult {}
 
 fn baseline_relative(
     out: &mut String,
@@ -66,7 +117,7 @@ pub fn fig06_decompress(opts: Opts) -> String {
     let cfg = SystemConfig::default_16core();
     let mut out = String::from("# Fig 6: decompression — speedup & energy vs software baseline\n");
     let results = run_variants(opts, &decompress::Variant::ALL, |v| {
-        decompress::run(v, params, &cfg)
+        sim!(decompress(v, params, &cfg))
     });
     let (base_cycles, base_energy) = (results[0].run.cycles, results[0].run.energy_uj); // ALL[0] = Software
     for (v, r) in decompress::Variant::ALL.iter().zip(&results) {
@@ -89,7 +140,7 @@ pub fn fig07_decompress_count(opts: Opts) -> String {
     let cfg = SystemConfig::default_16core();
     let mut out = String::from("# Fig 7: number of decompressions\n");
     let results = run_variants(opts, &decompress::Variant::ALL, |v| {
-        decompress::run(v, params, &cfg)
+        sim!(decompress(v, params, &cfg))
     });
     for (v, r) in decompress::Variant::ALL.iter().zip(&results) {
         out.push_str(&row(
@@ -153,7 +204,7 @@ pub fn fig13_phi(opts: Opts) -> String {
     let params = phi_params(opts);
     let cfg = phi_cfg(opts);
     let mut out = String::from("# Fig 13: PHI PageRank — speedup & energy vs software baseline\n");
-    let results = run_variants(opts, &phi::Variant::ALL, |v| phi::run(v, &params, &cfg));
+    let results = run_variants(opts, &phi::Variant::ALL, |v| sim!(phi(v, &params, &cfg)));
     let (base_cycles, base_energy) = (results[0].run.cycles, results[0].run.energy_uj); // ALL[0] = Software
     for (v, r) in phi::Variant::ALL.iter().zip(&results) {
         baseline_relative(
@@ -173,7 +224,7 @@ pub fn fig14_phi_dram(opts: Opts) -> String {
     let params = phi_params(opts);
     let cfg = phi_cfg(opts);
     let mut out = String::from("# Fig 14: DRAM accesses per phase (edge/bin/vertex)\n");
-    let results = run_variants(opts, &phi::Variant::ALL, |v| phi::run(v, &params, &cfg));
+    let results = run_variants(opts, &phi::Variant::ALL, |v| sim!(phi(v, &params, &cfg)));
     for (v, r) in phi::Variant::ALL.iter().zip(&results) {
         let ph = r.run.stats.phases();
         out.push_str(&row(
@@ -234,7 +285,7 @@ pub fn fig16_hats(opts: Opts) -> String {
     let params = hats_params(opts);
     let cfg = hats_cfg();
     let mut out = String::from("# Fig 16: HATS PageRank — speedup & energy vs vertex-ordered\n");
-    let results = run_variants(opts, &hats::Variant::ALL, |v| hats::run(v, &params, &cfg));
+    let results = run_variants(opts, &hats::Variant::ALL, |v| sim!(hats(v, &params, &cfg)));
     let (base_cycles, base_energy) = (results[0].run.cycles, results[0].run.energy_uj); // ALL[0] = VertexOrdered
     for (v, r) in hats::Variant::ALL.iter().zip(&results) {
         baseline_relative(
@@ -256,7 +307,7 @@ pub fn fig17_hats_breakdown(opts: Opts) -> String {
     let cfg = hats_cfg();
     let mut out =
         String::from("# Fig 17: HATS breakdown (DRAM / mispredicts per edge / load latency)\n");
-    let results = run_variants(opts, &hats::Variant::ALL, |v| hats::run(v, &params, &cfg));
+    let results = run_variants(opts, &hats::Variant::ALL, |v| sim!(hats(v, &params, &cfg)));
     for (v, r) in hats::Variant::ALL.iter().zip(&results) {
         out.push_str(&row(
             v.label(),
@@ -291,8 +342,8 @@ pub fn fig19_nvm(opts: Opts) -> String {
             txns: (opts.sized(4 << 20) as u64 / (kb * 1024)).clamp(4, 256),
             seed: opts.seed,
         };
-        let base = nvm::run(nvm::Variant::Journaling, params, &cfg);
-        let tako = nvm::run(nvm::Variant::Tako, params, &cfg);
+        let base = sim!(nvm(nvm::Variant::Journaling, params, &cfg));
+        let tako = sim!(nvm(nvm::Variant::Tako, params, &cfg));
         (base, tako)
     });
     for (kb, (base, tako)) in sizes.iter().zip(&results) {
@@ -321,7 +372,7 @@ pub fn fig20_nvm_instrs(opts: Opts) -> String {
         seed: opts.seed,
     };
     let mut out = String::from("# Fig 20: instructions per 8 B written (16 KB txns)\n");
-    let results = run_variants(opts, &nvm::Variant::ALL, |v| nvm::run(v, params, &cfg));
+    let results = run_variants(opts, &nvm::Variant::ALL, |v| sim!(nvm(v, params, &cfg)));
     for (v, r) in nvm::Variant::ALL.iter().zip(&results) {
         out.push_str(&row(
             v.label(),
@@ -355,7 +406,7 @@ pub fn fig21_sidechannel(opts: Opts) -> String {
         ("baseline", sidechannel::Variant::Baseline),
         ("tako", sidechannel::Variant::Tako),
     ];
-    let results = run_variants(opts, &variants, |(_, v)| sidechannel::run(v, params, &cfg));
+    let results = run_variants(opts, &variants, |(_, v)| sim!(sidechannel(v, params, &cfg)));
     for ((label, _), r) in variants.iter().zip(&results) {
         let trace: String = r
             .touched
@@ -398,9 +449,9 @@ fn hats_speedup_with_engine(opts: Opts, engine: EngineConfig) -> (u64, u64) {
     params.edges = opts.sized(1 << 20);
     params.communities = opts.sized(512);
     let mut cfg = hats_cfg();
-    let base = hats::run(hats::Variant::VertexOrdered, &params, &cfg);
+    let base = sim!(hats(hats::Variant::VertexOrdered, &params, &cfg));
     cfg.engine = engine;
-    let tako = hats::run(hats::Variant::Tako, &params, &cfg);
+    let tako = sim!(hats(hats::Variant::Tako, &params, &cfg));
     (base.run.cycles, tako.run.cycles)
 }
 
@@ -462,8 +513,8 @@ pub fn fig24_core_uarch(opts: Opts) -> String {
     let results = run_variants(opts, &uarchs, |(_, core)| {
         let mut cfg = SystemConfig::default_16core();
         cfg.core = core;
-        let base = phi::run(phi::Variant::Software, &params, &cfg);
-        let tako = phi::run(phi::Variant::Tako, &params, &cfg);
+        let base = sim!(phi(phi::Variant::Software, &params, &cfg));
+        let tako = sim!(phi(phi::Variant::Tako, &params, &cfg));
         (base.run.cycles, tako.run.cycles)
     });
     for ((label, _), (base, tako)) in uarchs.iter().zip(&results) {
@@ -501,9 +552,9 @@ pub fn fig25_scalability(opts: Opts) -> String {
             lanes: opts.lanes,
         };
         let cfg = SystemConfig::with_tiles(tiles);
-        let sw = phi::run(phi::Variant::Software, &params, &cfg);
-        let ub = phi::run(phi::Variant::UpdateBatching, &params, &cfg);
-        let tako = phi::run(phi::Variant::Tako, &params, &cfg);
+        let sw = sim!(phi(phi::Variant::Software, &params, &cfg));
+        let ub = sim!(phi(phi::Variant::UpdateBatching, &params, &cfg));
+        let tako = sim!(phi(phi::Variant::Tako, &params, &cfg));
         (
             params.edges,
             sw.run.cycles as f64 / tako.run.cycles as f64,
@@ -541,16 +592,13 @@ pub fn sens_callback_buffer(opts: Opts) -> String {
         txns: opts.sized(32) as u64,
         seed: opts.seed,
     };
-    let base = nvm::run(
-        nvm::Variant::Journaling,
-        params,
-        &SystemConfig::default_16core(),
-    );
+    let base_cfg = SystemConfig::default_16core();
+    let base = sim!(nvm(nvm::Variant::Journaling, params, &base_cfg));
     let entries: [u32; 6] = [1, 2, 4, 8, 16, 64];
     let results = run_variants(opts, &entries, |n| {
         let mut cfg = SystemConfig::default_16core();
         cfg.engine.callback_buffer = n;
-        nvm::run(nvm::Variant::Tako, params, &cfg)
+        sim!(nvm(nvm::Variant::Tako, params, &cfg))
     });
     for (n, r) in entries.iter().zip(&results) {
         out.push_str(&row(
@@ -572,7 +620,7 @@ pub fn sens_rtlb(opts: Opts) -> String {
     let results = run_variants(opts, &entries, |n| {
         let mut cfg = hats_cfg();
         cfg.engine.rtlb_entries = n;
-        hats::run(hats::Variant::Tako, &params, &cfg)
+        sim!(hats(hats::Variant::Tako, &params, &cfg))
     });
     let reference = results[0].run.cycles;
     for (n, r) in entries.iter().zip(&results) {
@@ -622,7 +670,7 @@ pub fn ablations(opts: Opts) -> String {
     ];
     let soa_results = run_variants(opts, &soa_points, |(_, v, no_trrip)| {
         let c = if no_trrip { &no_trrip_cfg } else { &cfg };
-        soa::run(v, sp, c)
+        sim!(soa(v, sp, c))
     });
     let aos_cycles = soa_results[0].run.cycles;
     for ((label, _, _), r) in soa_points.iter().zip(&soa_results) {
@@ -650,7 +698,7 @@ pub fn ablations(opts: Opts) -> String {
     };
     let hats_results = run_variants(opts, &[false, true], |coupled| {
         let c = if coupled { &coupled_cfg } else { &cfg };
-        hats::run(hats::Variant::Tako, &hp, c)
+        sim!(hats(hats::Variant::Tako, &hp, c))
     });
     let (tako, coupled) = (&hats_results[0], &hats_results[1]);
     out.push_str(&row(

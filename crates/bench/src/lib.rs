@@ -27,10 +27,16 @@
 //! input order, so `--jobs 1` and `--jobs 8` produce byte-identical
 //! experiment output (a test asserts this).
 //!
+//! A suite invocation ([`run_all`], [`run_all_catch`],
+//! [`campaign::run_campaign`]) simulates each distinct run once: every
+//! harness simulation goes through [`memo::cached`], and figures that
+//! plot the same runs share one `Arc`'d result (DESIGN.md §7e).
+//!
 //! Absolute cycle counts differ from the paper's testbed (see
 //! EXPERIMENTS.md); the *shape* — who wins, by roughly what factor —
 //! is what these harnesses regenerate.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tako_sim::checkpoint::Record;
@@ -40,6 +46,9 @@ use tako_sim::parallel::{default_jobs, parallel_map, parallel_map_catch};
 pub mod campaign;
 pub mod doctor;
 pub mod experiments;
+pub mod memo;
+
+use memo::{MemoStats, RunMemo};
 
 /// Validate the base system configuration every harness builds from,
 /// exiting with a diagnostic when it cannot describe real hardware.
@@ -165,6 +174,9 @@ pub fn warn_unknown(unknown: &[String]) {
 /// by replaying already-journaled units bit-exactly and simulating only
 /// the remainder. Experiments run `opts.serial()` inside the campaign
 /// fan-out anyway, so the serial journaled loop changes nothing else.
+/// Each unit is served by the first of: its journal record, the suite's
+/// run memo ([`memo::cached`] inside `f`), a simulation. A unit served
+/// by the memo is still journaled.
 pub fn run_variants<V, R, F>(opts: Opts, variants: &[V], f: F) -> Vec<R>
 where
     V: Clone + Send,
@@ -222,22 +234,50 @@ pub struct ExperimentResult {
     pub output: String,
     /// Wall-clock time the harness took on its worker.
     pub wall: Duration,
+    /// Run requests the harness made of its suite's memo (0 for an
+    /// experiment replayed from a campaign journal).
+    pub runs: u64,
+}
+
+impl ExperimentResult {
+    /// Run harness `f` on the calling thread, timing it and counting
+    /// its run requests.
+    pub(crate) fn run(name: &'static str, f: Experiment, opts: Opts) -> Self {
+        let before = memo::requests();
+        let t0 = Instant::now();
+        let output = f(opts);
+        ExperimentResult {
+            name,
+            output,
+            wall: t0.elapsed(),
+            runs: memo::requests() - before,
+        }
+    }
+}
+
+/// What one suite invocation ([`run_all_catch`]) hands back.
+#[derive(Debug)]
+pub struct SuiteOutcome {
+    /// Per-experiment outcomes in table order; `Err` carries a
+    /// harness's panic payload.
+    pub results: Vec<(&'static str, Result<ExperimentResult, String>)>,
+    /// The suite's run memo tally.
+    pub memo: MemoStats,
 }
 
 /// Run every harness in [`EXPERIMENTS`] across `opts.jobs` workers and
 /// return the results in table order. The machine is reserved for the
 /// experiment-level fan-out: each harness runs with `jobs = 1` inside.
+///
+/// # Panics
+///
+/// If a harness panics, after every other harness has finished.
 pub fn run_all(opts: Opts) -> Vec<ExperimentResult> {
-    let inner = opts.serial();
-    parallel_map(opts.jobs, EXPERIMENTS.to_vec(), move |_, (name, f)| {
-        let t0 = Instant::now();
-        let output = f(inner);
-        ExperimentResult {
-            name,
-            output,
-            wall: t0.elapsed(),
-        }
-    })
+    run_all_catch(opts, None)
+        .results
+        .into_iter()
+        .map(|(name, r)| r.unwrap_or_else(|msg| panic!("{name}: {msg}")))
+        .collect()
 }
 
 /// Like [`run_all`], but each harness runs behind a panic guard: a
@@ -245,28 +285,28 @@ pub fn run_all(opts: Opts) -> Vec<ExperimentResult> {
 /// harness still runs to completion — the `--keep-going` contract of
 /// `all_experiments`. When `force_panic` names a harness it panics on
 /// entry (the hook the keep-going integration test drives).
-pub fn run_all_catch(
-    opts: Opts,
-    force_panic: Option<&str>,
-) -> Vec<(&'static str, Result<ExperimentResult, String>)> {
+///
+/// The harnesses share one [`RunMemo`], so a run that several figures
+/// plot (Fig 13/14, Fig 16/17, shared sweep baselines) is simulated
+/// once per invocation.
+pub fn run_all_catch(opts: Opts, force_panic: Option<&str>) -> SuiteOutcome {
     let inner = opts.serial();
-    let results = parallel_map_catch(opts.jobs, EXPERIMENTS.to_vec(), move |_, (name, f)| {
+    let memo = Arc::new(RunMemo::default());
+    let results = parallel_map_catch(opts.jobs, EXPERIMENTS.to_vec(), |_, (name, f)| {
+        let _memo = memo.arm();
         if Some(name) == force_panic {
             panic!("forced panic in {name} (--force-panic)");
         }
-        let t0 = Instant::now();
-        let output = f(inner);
-        ExperimentResult {
-            name,
-            output,
-            wall: t0.elapsed(),
-        }
+        ExperimentResult::run(name, f, inner)
     });
-    EXPERIMENTS
-        .iter()
-        .zip(results)
-        .map(|((name, _), r)| (*name, r))
-        .collect()
+    SuiteOutcome {
+        results: EXPERIMENTS
+            .iter()
+            .zip(results)
+            .map(|((name, _), r)| (*name, r))
+            .collect(),
+        memo: memo.stats(),
+    }
 }
 
 /// Render one labelled row of `(label, value)` pairs.

@@ -28,6 +28,10 @@ fn output_is_byte_identical_across_job_counts() {
             a.name
         );
     }
+    // The suite's run memo is armed: harness simulations are requested
+    // through it (counted per experiment), not run around it.
+    let requests: u64 = serial.iter().map(|r| r.runs).sum();
+    assert!(requests > 0, "no harness requested a run through the memo");
 }
 
 #[test]

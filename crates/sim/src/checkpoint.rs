@@ -46,6 +46,7 @@
 //! exact bit pattern, preserving byte-identical rendered output.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::digest::Sha256;
 
@@ -539,6 +540,17 @@ impl<T: Record> Record for Vec<T> {
             out.push(T::replay(r)?);
         }
         Ok(out)
+    }
+}
+
+/// Journals exactly the bytes of the shared value, so a unit holding
+/// an `Arc<T>` is indistinguishable on disk from one holding a `T`.
+impl<T: Record> Record for Arc<T> {
+    fn record(&self, w: &mut SnapWriter) {
+        (**self).record(w);
+    }
+    fn replay(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        T::replay(r).map(Arc::new)
     }
 }
 

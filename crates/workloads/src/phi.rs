@@ -153,7 +153,11 @@ impl Morph for PhiMorph {
             let dst = self.next + base_v * 8;
             let (_, l) = ctx.load_f64(dst, &[cmp]);
             let add = ctx.alu(&[l, read]);
-            let _st = ctx.store_u64(dst + 1, 0, &[add]); // timing-only store
+            // The store's address, deps and timing model the SIMD
+            // write-back; it stores the bytes already there, because the
+            // deltas are applied functionally just below.
+            let unchanged = ctx.data().read_u64(dst + 1);
+            let _st = ctx.store_u64(dst + 1, unchanged, &[add]);
             for (i, &d) in vals.iter().enumerate() {
                 if d != 0.0 {
                     ctx.data().add_f64(dst + 8 * i as u64, d);

@@ -57,7 +57,10 @@ rm -rf "$MUTDIR"
 # Interrupt/resume smoke: journal a campaign, crash every experiment
 # after two checkpointed units, resume it, and require the resumed
 # output byte-identical to a clean (unjournaled) run. Timing lines
-# ("[name took ...]") are stripped before the diff.
+# ("[name took ...]") are stripped before the diff. Both runs must
+# also have shared runs through the run memo (DESIGN.md §7e): some
+# requests served from it, and every request either simulated or
+# served, against the requests counted per experiment.
 echo "==> campaign interrupt/resume smoke"
 JDIR=$(mktemp -d)
 trap 'rm -rf "$JDIR"' EXIT
@@ -68,11 +71,26 @@ if ./target/release/all_experiments --scale 0.01 --jobs 2 \
   exit 1
 fi
 ./target/release/all_experiments --scale 0.01 --jobs 2 \
-    --journal "$JDIR/journal" --resume > "$JDIR/resumed.txt"
-./target/release/all_experiments --scale 0.01 --jobs 2 > "$JDIR/clean.txt"
+    --journal "$JDIR/journal" --resume \
+    --bench-json "$JDIR/resumed.json" > "$JDIR/resumed.txt"
+./target/release/all_experiments --scale 0.01 --jobs 2 \
+    --bench-json "$JDIR/clean.json" > "$JDIR/clean.txt"
 diff <(grep -v 'took' "$JDIR/clean.txt") \
      <(grep -v 'took' "$JDIR/resumed.txt")
 echo "    resumed campaign output matches clean run"
+python3 - "$JDIR/resumed.json" "$JDIR/clean.json" <<'EOF'
+import json, sys
+for path in sys.argv[1:]:
+    d = json.load(open(path))
+    requests = sum(e["runs"] for e in d["experiments"].values())
+    distinct, hits = d["distinct_runs"], d["memo_hits"]
+    name = path.rsplit("/", 1)[-1]
+    assert hits > 0, f"{name}: no run request was served from the memo"
+    assert distinct + hits == requests, (
+        f"{name}: {distinct} simulated + {hits} memo hits != {requests} requests")
+    print(f"    {name}: {requests} run requests = "
+          f"{distinct} simulated + {hits} from the memo")
+EOF
 
 # Crash-point sweep smoke: every I/O site of a small journaled
 # campaign, for every deterministic fault kind, must resume to the
@@ -101,11 +119,12 @@ echo "    fixtures flagged; repaired copy verifies clean"
 # observational).
 echo "==> trace smoke"
 ./target/release/all_experiments --scale 0.01 --jobs 2 \
-    --trace-out "$JDIR/trace.json" --profile > "$JDIR/traced.txt"
+    --trace-out "$JDIR/trace.json" --profile \
+    --bench-json "$JDIR/traced.json" > "$JDIR/traced.txt"
 grep -q '^PROFILE:' "$JDIR/traced.txt"
 diff <(grep -v 'took' "$JDIR/clean.txt") \
      <(grep -v 'took' "$JDIR/traced.txt" | sed '/^PROFILE:/,$d')
-python3 - "$JDIR/trace.json" <<'EOF'
+python3 - "$JDIR/trace.json" "$JDIR/traced.json" <<'EOF'
 import json, sys
 d = json.load(open(sys.argv[1]))
 evs = d["traceEvents"]
@@ -113,6 +132,13 @@ inst = [e for e in evs if e.get("ph") == "i"]
 assert inst, "trace has no instant events"
 assert all(e["ts"] >= 0 for e in inst), "negative timestamp"
 print(f"    trace JSON valid: {len(evs)} events ({len(inst)} instants)")
+# Every simulation builds one system, which the observer counts, so
+# the memo's distinct-run tally must equal it.
+b = json.load(open(sys.argv[2]))
+systems = b["metrics"]["systems"]
+assert b["distinct_runs"] == systems, (
+    f"{b['distinct_runs']} distinct runs but {systems} systems built")
+print(f"    {systems} systems built = distinct runs simulated")
 EOF
 echo "    traced output matches clean run"
 

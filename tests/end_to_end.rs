@@ -122,6 +122,35 @@ fn all_pagerank_implementations_agree() {
 }
 
 #[test]
+fn phi_ranks_are_exact_when_vertex_data_overflows_the_llc() {
+    // Fig 13's regime: vertex data (8 B per vertex) four times the LLC,
+    // so dense delta lines are applied in place by the Morph's
+    // writeback callback. That path must only add deltas to `next`.
+    let params = phi::Params {
+        vertices: 16 * 1024,
+        edges: 64 * 1024,
+        theta: 0.6,
+        threads: 16,
+        threshold: 3,
+        seed: 5,
+        lanes: 0,
+    };
+    let mut cfg = SystemConfig::with_tiles(16);
+    cfg.llc_bank.size_bytes = params.vertices as u64 * 8 / 4 / 16;
+    assert!(params.vertices as u64 * 8 >= 4 * cfg.llc_total_bytes());
+    let mut rng = Rng::new(params.seed);
+    let g = tako::graph::gen::power_law(params.vertices, params.edges, params.theta, &mut rng);
+    let reference = pagerank::iteration(&g, &vec![1.0 / params.vertices as f64; params.vertices]);
+    let r = phi::run_on_graph(phi::Variant::Tako, &params, &cfg, &g);
+    assert!(
+        r.run.get(Counter::PhiInPlace) > 0,
+        "no delta line was applied in place; the test misses the path"
+    );
+    let diff = pagerank::max_diff(&r.ranks, &reference);
+    assert!(diff < 1e-9, "PHI-on-täkō ranks differ by {diff:e}");
+}
+
+#[test]
 fn decompression_and_nvm_functional_equivalence() {
     let cfg = SystemConfig::default_16core();
     let dp = decompress::Params {
