@@ -193,7 +193,7 @@ fn parse_bench_flags(unknown: Vec<String>) -> BenchFlags {
 fn main() {
     validate_base_config();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (opts, unknown) = Opts::parse(&args);
+    let (opts, unknown) = Opts::parse_or_exit(&args);
     let flags = parse_bench_flags(unknown);
     if flags.force_panic.is_some() && !flags.keep_going && flags.journal.is_none() {
         eprintln!("warning: --force-panic without --keep-going aborts the run");
@@ -400,7 +400,6 @@ fn bench_json(
 ) -> String {
     let mut s = String::from("{\n");
     s.push_str(&format!("  \"jobs\": {},\n", opts.jobs));
-    s.push_str(&format!("  \"lanes\": {},\n", opts.lanes));
     s.push_str(&format!(
         "  \"host_cores\": {},\n",
         std::thread::available_parallelism().map_or(1, |n| n.get())

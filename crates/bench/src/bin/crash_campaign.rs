@@ -40,6 +40,7 @@ use std::sync::Arc;
 use tako_bench::campaign::{run_campaign, CampaignOpts, CampaignOutcome};
 use tako_bench::{doctor, run_variants, Experiment, Opts};
 use tako_sim::digest::Sha256;
+use tako_sim::fault::PlanKind;
 use tako_sim::storage::CRASH_MARKER;
 use tako_sim::storage::{DiskStorage, FaultStorage, IoFault, IoFaultKind, IoFaultPlan, Storage};
 
@@ -82,7 +83,7 @@ fn sweep_opts(seed: u64) -> Opts {
         // across the counting pass and every sweep run, and thread
         // interleaving would perturb the numbering.
         jobs: 1,
-        lanes: 0,
+        ..Default::default()
     }
 }
 
@@ -168,7 +169,7 @@ fn sweep_kind(
         let _ = std::fs::remove_dir_all(&dir);
         let plan = IoFaultPlan {
             seed,
-            faults: vec![IoFault { at_op: k, kind }],
+            events: vec![IoFault { at_op: k, kind }],
         };
         let faulty: Arc<dyn Storage> =
             Arc::new(FaultStorage::new(Arc::new(DiskStorage::new()), plan));

@@ -25,14 +25,11 @@
 //! ```
 
 use tako_bench::{run_variants, warn_unknown, Opts};
-use tako_core::{run_multicore_lanes, TakoSystem};
-use tako_cpu::{
-    AccessKind, BranchPredictor, CoreEnv, CoreTiming, LaneProgram, MemSystem, StepResult,
-    ThreadProgram,
-};
+use tako_core::TakoSystem;
+use tako_cpu::{AccessKind, MemSystem};
 use tako_sim::checkpoint::encode;
 use tako_sim::config::{CheckpointConfig, SystemConfig, WatchdogConfig};
-use tako_sim::fault::{FaultKind, FaultPlan};
+use tako_sim::fault::{FaultKind, FaultPlan, PlanKind};
 use tako_sim::rng::Rng;
 use tako_sim::stats::Counter;
 use tako_workloads::common::RunResult;
@@ -329,93 +326,6 @@ fn checkpoint_under_fault(kind: FaultKind, opts: &Opts, watchdog_cycles: u64) ->
     t2 == t && encode(&sys2) == reference
 }
 
-/// A minimal lane-runnable program: a read-modify-write stride walk
-/// over a private slice of a real range. The whole point is to drive
-/// the *lane engine* (speculative per-tile windows, journal replay,
-/// epoch-cadence checkpoints) rather than the serial interleaver.
-struct LaneWalker {
-    base: u64,
-    i: u64,
-    n: u64,
-}
-
-impl ThreadProgram for LaneWalker {
-    fn step(&mut self, env: &mut CoreEnv<'_>) -> StepResult {
-        if self.i >= self.n {
-            return StepResult::Done;
-        }
-        let a = self.base + (self.i % (1 << 9)) * 8;
-        let v = env.load_u64(a);
-        env.store_u64(a, v.wrapping_add(1));
-        env.compute(2);
-        self.i += 1;
-        if self.i >= self.n {
-            StepResult::Done
-        } else {
-            StepResult::Running
-        }
-    }
-}
-
-impl LaneProgram for LaneWalker {
-    fn lane_save(&self) -> Box<dyn std::any::Any + Send> {
-        Box::new(self.i)
-    }
-    fn lane_restore(&mut self, saved: Box<dyn std::any::Any + Send>) {
-        self.i = *saved.downcast::<u64>().unwrap();
-    }
-}
-
-/// Checkpoint-under-lanes: snapshot a system between two *lane-engine*
-/// runs (speculative per-tile windows live on the fork-join pool, the
-/// epoch watchdog's checkpoint cadence armed), resume in a fresh
-/// system, replay the second run, and require byte-identical final
-/// snapshots plus identical finish cycles. Pins that the SoA tag-array
-/// state the lanes mutate round-trips exactly.
-fn checkpoint_under_lanes(opts: &Opts, watchdog_cycles: u64) -> bool {
-    let mut cfg = base_cfg(watchdog_cycles);
-    cfg.watchdog.epoch_cycles = 5_000;
-    cfg.checkpoint = Some(CheckpointConfig { every_epochs: 2 });
-
-    fn lane_run(sys: &mut TakoSystem, base: u64, work: u64, phase: u64) -> u64 {
-        let tiles = 16usize;
-        let mut programs: Vec<LaneWalker> = (0..tiles as u64)
-            .map(|k| LaneWalker {
-                base: base + k * (1 << 14),
-                i: phase * work,
-                n: (phase + 1) * work,
-            })
-            .collect();
-        let mut cores: Vec<CoreTiming> = (0..tiles)
-            .map(|_| CoreTiming::new(tako_sim::config::SystemConfig::default_16core().core))
-            .collect();
-        let mut preds: Vec<BranchPredictor> = (0..tiles).map(|_| BranchPredictor::new()).collect();
-        let mut progs: Vec<(usize, &mut dyn LaneProgram)> = programs
-            .iter_mut()
-            .enumerate()
-            .map(|(k, p)| (k, p as &mut dyn LaneProgram))
-            .collect();
-        run_multicore_lanes(&mut progs, &mut cores, &mut preds, sys, 1 << 20, 2)
-    }
-
-    let work = opts.sized(2048) as u64;
-    let mut sys = TakoSystem::new(cfg.clone());
-    let base = 0x1000_0000;
-    let _ = sys.alloc_real(1 << 20);
-    lane_run(&mut sys, base, work, 0);
-    let mid = sys.snapshot_bytes();
-    let t_ref = lane_run(&mut sys, base, work, 1);
-    let reference = encode(&sys);
-
-    let mut sys2 = TakoSystem::new(cfg);
-    let _ = sys2.alloc_real(1 << 20);
-    if sys2.restore_bytes(&mid).is_err() {
-        return false;
-    }
-    let t2 = lane_run(&mut sys2, base, work, 1);
-    t2 == t_ref && encode(&sys2) == reference
-}
-
 /// Noninterference: with faults disabled, the robustness machinery must
 /// not change a single counter or cycle.
 fn check_noninterference(case: &CaseStudy, opts: &Opts, bound: u64) -> bool {
@@ -436,7 +346,7 @@ fn check_noninterference(case: &CaseStudy, opts: &Opts, bound: u64) -> bool {
 fn main() {
     tako_bench::validate_base_config();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (opts, unknown) = Opts::parse(&args);
+    let (opts, unknown) = Opts::parse_or_exit(&args);
     let flags = parse_campaign_flags(unknown);
 
     let mut total = 0usize;
@@ -525,20 +435,6 @@ fn main() {
         println!(
             "checkpoint  kind={:<7} mid-window resume {}",
             kind.name(),
-            if ok { "byte-identical" } else { "DIVERGED" }
-        );
-        if !ok {
-            failed += 1;
-        }
-    }
-
-    // Checkpoint-under-lanes: the lane engine's speculative windows and
-    // the SoA tag arrays they mutate must survive the same round trip.
-    {
-        total += 1;
-        let ok = checkpoint_under_lanes(&opts, flags.watchdog_cycles);
-        println!(
-            "checkpoint  lanes=2   mid-run resume {}",
             if ok { "byte-identical" } else { "DIVERGED" }
         );
         if !ok {

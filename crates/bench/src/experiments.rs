@@ -164,7 +164,7 @@ fn phi_params(opts: Opts) -> phi::Params {
             threads: 16,
             threshold: 3,
             seed: opts.seed,
-            lanes: opts.lanes,
+            ..Default::default()
         }
     } else {
         phi::Params {
@@ -174,7 +174,7 @@ fn phi_params(opts: Opts) -> phi::Params {
             threads: 16,
             threshold: 3,
             seed: opts.seed,
-            lanes: opts.lanes,
+            ..Default::default()
         }
     }
 }
@@ -549,7 +549,7 @@ pub fn fig25_scalability(opts: Opts) -> String {
             threads: tiles,
             threshold: 3,
             seed: opts.seed,
-            lanes: opts.lanes,
+            ..Default::default()
         };
         let cfg = SystemConfig::with_tiles(tiles);
         let sw = sim!(phi(phi::Variant::Software, &params, &cfg));

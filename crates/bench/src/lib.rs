@@ -13,13 +13,10 @@
 //! --seed <n>    override the RNG seed
 //! --jobs <n>    worker threads for the per-variant / per-experiment
 //!               fan-out (default: available parallelism)
-//! --lanes <n>   per-tile parallel lanes *inside* each phi simulation
-//!               (default 0 = the serial interleaver). Lane runs are
-//!               deterministic — identical for every n >= 1 — but use
-//!               unit-step granularity, a different (equally valid)
-//!               schedule than the serial chunked interleave, so their
-//!               digests form their own golden family.
 //! ```
+//!
+//! A flag missing its value, or given one that does not parse, is an
+//! error (exit status 2); an unrecognized flag only warns.
 //!
 //! Output is **deterministic and independent of `--jobs`**: every
 //! simulation is seeded, single-threaded, and isolated in its own
@@ -36,6 +33,7 @@
 //! EXPERIMENTS.md); the *shape* — who wins, by roughly what factor —
 //! is what these harnesses regenerate.
 
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -72,7 +70,7 @@ pub struct Opts {
     /// Worker threads for fan-out (variants within a figure, or
     /// experiments within `all_experiments`).
     pub jobs: usize,
-    /// Per-tile parallel lanes inside each phi simulation (0 = serial).
+    /// Unread; kept so the benchmark package compiles.
     pub lanes: usize,
 }
 
@@ -92,51 +90,44 @@ impl Opts {
     /// Parse `args` (without the program name). Returns the options and
     /// any arguments that were not recognized, so binaries with extra
     /// flags can consume the leftovers before warning.
-    pub fn parse(args: &[String]) -> (Self, Vec<String>) {
+    ///
+    /// # Errors
+    ///
+    /// A `--scale`, `--seed` or `--jobs` whose value is missing or does
+    /// not parse (`--scale 0,05`, `--jobs two`, a trailing `--seed`).
+    pub fn parse(args: &[String]) -> Result<(Self, Vec<String>), String> {
         let mut opts = Opts::default();
         let mut unknown = Vec::new();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--scale" => {
-                    if let Some(v) = args.get(i + 1) {
-                        opts.scale = v.parse().unwrap_or(opts.scale);
-                        i += 1;
-                    }
-                }
-                "--seed" => {
-                    if let Some(v) = args.get(i + 1) {
-                        opts.seed = v.parse().unwrap_or(opts.seed);
-                        i += 1;
-                    }
-                }
-                "--jobs" => {
-                    if let Some(v) = args.get(i + 1) {
-                        opts.jobs = v.parse().unwrap_or(opts.jobs).max(1);
-                        i += 1;
-                    }
-                }
-                "--lanes" => {
-                    if let Some(v) = args.get(i + 1) {
-                        opts.lanes = v.parse().unwrap_or(opts.lanes);
-                        i += 1;
-                    }
-                }
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--scale" => opts.scale = flag_value(arg, args.next())?,
+                "--seed" => opts.seed = flag_value(arg, args.next())?,
+                "--jobs" => opts.jobs = flag_value::<usize>(arg, args.next())?.max(1),
                 "--paper" => opts.paper = true,
                 other => unknown.push(other.to_string()),
             }
-            i += 1;
         }
-        (opts, unknown)
+        Ok((opts, unknown))
+    }
+
+    /// [`Opts::parse`], printing the error and exiting with status 2 on
+    /// a bad flag value.
+    pub fn parse_or_exit(args: &[String]) -> (Self, Vec<String>) {
+        Self::parse(args).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        })
     }
 
     /// Parse from `std::env::args`, warning on stderr about any
-    /// unrecognized argument. Also validates the base system
-    /// configuration, so a broken config fails fast in every binary.
+    /// unrecognized argument and exiting with status 2 on a bad flag
+    /// value. Also validates the base system configuration, so a broken
+    /// config fails fast in every binary.
     pub fn from_args() -> Self {
         validate_base_config();
         let args: Vec<String> = std::env::args().skip(1).collect();
-        let (opts, unknown) = Self::parse(&args);
+        let (opts, unknown) = Self::parse_or_exit(&args);
         warn_unknown(&unknown);
         opts
     }
@@ -154,12 +145,18 @@ impl Opts {
     }
 }
 
+/// Parse the value following `flag`.
+fn flag_value<T: FromStr>(flag: &str, value: Option<&String>) -> Result<T, String> {
+    let v = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    v.parse().map_err(|_| format!("{flag}: cannot parse `{v}`"))
+}
+
 /// Print a warning for each unrecognized command-line argument.
 pub fn warn_unknown(unknown: &[String]) {
     for u in unknown {
         eprintln!(
             "warning: unknown argument `{u}` \
-             (known: --scale <f>, --paper, --seed <n>, --jobs <n>, --lanes <n>)"
+             (known: --scale <f>, --paper, --seed <n>, --jobs <n>)"
         );
     }
 }
@@ -341,33 +338,42 @@ mod tests {
     fn parse_known_flags() {
         let (o, unknown) = Opts::parse(&s(&[
             "--scale", "0.5", "--paper", "--seed", "7", "--jobs", "3",
-        ]));
+        ]))
+        .unwrap();
         assert!(unknown.is_empty());
         assert_eq!(o.scale, 0.5);
         assert!(o.paper);
         assert_eq!(o.seed, 7);
         assert_eq!(o.jobs, 3);
-        assert_eq!(o.lanes, 0);
-    }
-
-    #[test]
-    fn parse_lanes() {
-        let (o, unknown) = Opts::parse(&s(&["--lanes", "4"]));
-        assert!(unknown.is_empty());
-        assert_eq!(o.lanes, 4);
     }
 
     #[test]
     fn parse_collects_unknown() {
-        let (o, unknown) = Opts::parse(&s(&["--wat", "--seed", "9"]));
+        let (o, unknown) = Opts::parse(&s(&["--wat", "--seed", "9"])).unwrap();
         assert_eq!(unknown, vec!["--wat".to_string()]);
         assert_eq!(o.seed, 9);
     }
 
     #[test]
     fn jobs_zero_clamps_to_one() {
-        let (o, _) = Opts::parse(&s(&["--jobs", "0"]));
+        let (o, _) = Opts::parse(&s(&["--jobs", "0"])).unwrap();
         assert_eq!(o.jobs, 1);
+    }
+
+    #[test]
+    fn malformed_flag_values_are_errors() {
+        for (flag, bad) in [("--scale", "0,05"), ("--seed", "x"), ("--jobs", "two")] {
+            let err = Opts::parse(&s(&["--paper", flag, bad])).unwrap_err();
+            assert_eq!(err, format!("{flag}: cannot parse `{bad}`"));
+        }
+    }
+
+    #[test]
+    fn missing_flag_values_are_errors() {
+        for flag in ["--scale", "--seed", "--jobs"] {
+            let err = Opts::parse(&s(&["--paper", flag])).unwrap_err();
+            assert_eq!(err, format!("{flag} needs a value"));
+        }
     }
 
     #[test]

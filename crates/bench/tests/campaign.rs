@@ -32,7 +32,7 @@ fn opts() -> Opts {
         paper: false,
         seed: 42,
         jobs: 2,
-        lanes: 0,
+        ..Default::default()
     }
 }
 
@@ -271,7 +271,10 @@ fn transient_faults_are_retried_in_place_and_tallied() {
     let mut c = CampaignOpts::fresh(&dir);
     c.storage = Arc::new(FaultStorage::new(
         Arc::new(DiskStorage::new()),
-        IoFaultPlan { seed: 1, faults },
+        IoFaultPlan {
+            seed: 1,
+            events: faults,
+        },
     ));
     let outcome =
         run_campaign(opts(), &c, FAULT_EXPS).expect("campaign rides out transient faults");
@@ -310,7 +313,7 @@ fn permanent_fault_mid_experiment_fails_fast_without_retries() {
             Arc::new(DiskStorage::new()),
             IoFaultPlan {
                 seed: 1,
-                faults: vec![IoFault {
+                events: vec![IoFault {
                     at_op,
                     kind: IoFaultKind::PermanentError,
                 }],

@@ -11,7 +11,7 @@ fn tiny_opts(jobs: usize) -> Opts {
         paper: false,
         seed: 0x7AC0,
         jobs,
-        lanes: 0,
+        ..Default::default()
     }
 }
 

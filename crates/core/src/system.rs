@@ -100,17 +100,6 @@ impl TakoSystem {
         &mut self.hier
     }
 
-    /// Split the hierarchy into the disjoint pieces a lane window
-    /// needs: exclusive per-tile cache islands, the shared read-only
-    /// backing store, and the configuration. Everything else (bus,
-    /// watchdog, LLC, DRAM, engines) is untouched during a window.
-    pub(crate) fn lane_split(
-        &mut self,
-    ) -> (&mut [crate::hierarchy::Tile], &PhysMem, &SystemConfig) {
-        let h = &mut self.hier;
-        (&mut h.tiles, &h.mem, &h.cfg)
-    }
-
     /// The address-space allocator (for workload setup).
     pub fn allocator(&mut self) -> &mut Allocator {
         &mut self.alloc

@@ -57,7 +57,7 @@ pub const SNAP_MAGIC: [u8; 8] = *b"TAKOSNP\0";
 /// Version 2: the hierarchy section gained the optional observability
 /// observer (event ring, interval metrics, stage profile).
 /// Version 3: cache tag arrays serialize their structure-of-arrays
-/// storage field-by-field (per-way rrpv/lru/flag planes) instead of the
+/// storage field-by-field (per-way rrpv/lru/flag arrays) instead of the
 /// old per-line record stream.
 /// Version 4: the watchdog diagnostic snapshot gained the blocked
 /// line and its LLC `(bank, set)` location.

@@ -452,7 +452,8 @@ mod tests {
 
     #[test]
     fn bus_counts_fired_faults() {
-        let plan = FaultPlan::single(100, FaultKind::DelayedDram, 9);
+        let mut plan = FaultPlan::single(100, FaultKind::DelayedDram);
+        plan.events[0].magnitude = 9;
         let mut bus = AccountingBus::new(FaultInjector::new(Some(&plan)));
         assert!(!bus.faults_inert());
         assert_eq!(bus.poll_fault(50, FaultKind::DelayedDram), None);
@@ -493,7 +494,8 @@ mod tests {
 
     #[test]
     fn site_aware_poll_respects_addressing() {
-        let mut plan = FaultPlan::single(0, FaultKind::MshrPressure, 5);
+        let mut plan = FaultPlan::single(0, FaultKind::MshrPressure);
+        plan.events[0].magnitude = 5;
         plan.events[0].site = Some(7);
         let mut bus = AccountingBus::new(FaultInjector::new(Some(&plan)));
         assert_eq!(bus.poll_fault(1_000, FaultKind::MshrPressure), None);

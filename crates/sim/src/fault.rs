@@ -15,9 +15,124 @@
 //! injector built from `None`/an empty plan is a branch on an empty
 //! vector — the hot path is unchanged and disabled runs stay
 //! byte-identical.
+//!
+//! [`Plan`] is the one seeded-plan type: [`FaultPlan`] schedules these
+//! machine faults by cycle, and
+//! [`IoFaultPlan`](crate::storage::IoFaultPlan) schedules storage
+//! faults by I/O site. Both share `empty`, `single`, `seeded` and the
+//! `seed:kind[:count]` flag syntax of [`Plan::parse`].
+
+use std::fmt;
 
 use crate::rng::Rng;
 use crate::Cycle;
+
+/// A family of fault kinds a [`Plan`] schedules.
+pub trait PlanKind: Copy + Eq + fmt::Debug + 'static {
+    /// One scheduled fault of this family.
+    type Event: Clone + Eq + fmt::Debug;
+    /// Every kind, in the order `mix` plans cycle through.
+    const KINDS: &'static [Self];
+    /// The flag whose `seed:kind[:count]` syntax [`Plan::parse`] reads,
+    /// without its dashes. Its singular names the family in errors.
+    const FLAG: &'static str;
+    /// The `[lo, hi)` window [`Plan::parse`] spreads injection points
+    /// over.
+    const PARSE_WINDOW: (u64, u64);
+
+    /// Short name used by the flag syntax.
+    fn name(self) -> &'static str;
+
+    /// The event firing `kind` at injection point `at`, with the kind's
+    /// default payload.
+    fn event(at: u64, kind: Self) -> Self::Event;
+
+    /// Inverse of [`PlanKind::name`].
+    fn from_name(s: &str) -> Option<Self> {
+        Self::KINDS.iter().copied().find(|k| k.name() == s)
+    }
+}
+
+/// A seeded, deterministic schedule of faults of one [`PlanKind`]
+/// family.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Plan<K: PlanKind> {
+    /// The seed the plan was derived from (0 for hand-built plans).
+    pub seed: u64,
+    /// Scheduled faults. Where two could fire at one poll, the first in
+    /// vector order wins.
+    pub events: Vec<K::Event>,
+}
+
+impl<K: PlanKind> Plan<K> {
+    /// A plan that injects nothing (proves the armed-but-empty path is
+    /// inert; for storage, pure I/O-site counting).
+    pub fn empty() -> Self {
+        Plan {
+            seed: 0,
+            events: Vec::new(),
+        }
+    }
+
+    /// A plan with a single hand-placed fault at injection point `at`,
+    /// with the kind's default payload.
+    pub fn single(at: u64, kind: K) -> Self {
+        Plan {
+            seed: 0,
+            events: vec![K::event(at, kind)],
+        }
+    }
+
+    /// A seeded plan of `count` faults drawn from `kinds` (round-robin)
+    /// at injection points uniform in `[lo, hi)`, with default
+    /// payloads. Identical arguments always produce an identical plan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kinds` is empty or `lo >= hi`.
+    pub fn seeded(seed: u64, kinds: &[K], count: usize, lo: u64, hi: u64) -> Self {
+        assert!(!kinds.is_empty(), "kinds must be non-empty");
+        assert!(lo < hi, "injection window must be non-empty");
+        let mut rng = Rng::new(seed);
+        let events = (0..count)
+            .map(|i| K::event(lo + rng.below(hi - lo), kinds[i % kinds.len()]))
+            .collect();
+        Plan { seed, events }
+    }
+
+    /// Parse the `seed:kind[:count]` flag syntax, e.g. `--faults
+    /// 3:overrun:4` or `--io-faults 7:torn` (`mix`/`all` cycles through
+    /// every kind; the count defaults to one per kind). Injection
+    /// points are spread over [`PlanKind::PARSE_WINDOW`]; callers that
+    /// know the run horizon or site count should use
+    /// [`Plan::seeded`] or [`Plan::single`] directly.
+    pub fn parse(s: &str) -> Result<Self, String> {
+        let noun = K::FLAG.trim_end_matches('s');
+        let parts: Vec<&str> = s.split(':').collect();
+        if parts.len() < 2 || parts.len() > 3 {
+            return Err(format!("--{} wants seed:kind[:count], got `{s}`", K::FLAG));
+        }
+        let seed: u64 = parts[0]
+            .parse()
+            .map_err(|_| format!("bad {noun} seed `{}`", parts[0]))?;
+        let kinds: Vec<K> = match parts[1] {
+            "mix" | "all" => K::KINDS.to_vec(),
+            other => vec![K::from_name(other).ok_or_else(|| {
+                let names: Vec<&str> = K::KINDS.iter().map(|k| k.name()).collect();
+                format!(
+                    "unknown {noun} kind `{other}` (want {}, or mix)",
+                    names.join(", ")
+                )
+            })?],
+        };
+        let count: usize = match parts.get(2) {
+            Some(c) => c.parse().map_err(|_| format!("bad {noun} count `{c}`"))?,
+            None => kinds.len(),
+        };
+        let (lo, hi) = K::PARSE_WINDOW;
+        Ok(Self::seeded(seed, &kinds, count, lo, hi))
+    }
+}
 
 /// The kinds of fault the injector can produce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -48,21 +163,6 @@ impl FaultKind {
         FaultKind::MshrPressure,
         FaultKind::DelayedDram,
     ];
-
-    /// Short name used by the `--faults seed:kind[:count]` flag.
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultKind::CallbackOverrun => "overrun",
-            FaultKind::IllegalAction => "illegal",
-            FaultKind::FabricExhaustion => "fabric",
-            FaultKind::MshrPressure => "mshr",
-            FaultKind::DelayedDram => "dram",
-        }
-    }
-
-    fn from_name(s: &str) -> Option<FaultKind> {
-        FaultKind::ALL.iter().copied().find(|k| k.name() == s)
-    }
 
     /// The default magnitude for this kind: extra instructions for
     /// overruns, phantom entries for MSHR pressure, extra cycles for
@@ -96,86 +196,33 @@ pub struct FaultEvent {
     pub site: Option<usize>,
 }
 
-/// A seeded, deterministic schedule of faults.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct FaultPlan {
-    /// The seed the plan was derived from (0 for hand-built plans).
-    pub seed: u64,
-    /// Scheduled faults, in no particular order.
-    pub events: Vec<FaultEvent>,
-}
+/// A seeded schedule of machine faults by cycle.
+pub type FaultPlan = Plan<FaultKind>;
 
-impl FaultPlan {
-    /// A plan that injects nothing (useful to prove the armed-but-empty
-    /// path is inert).
-    pub fn empty() -> Self {
-        FaultPlan::default()
-    }
+impl PlanKind for FaultKind {
+    type Event = FaultEvent;
+    const KINDS: &'static [Self] = &FaultKind::ALL;
+    const FLAG: &'static str = "faults";
+    /// The first million cycles.
+    const PARSE_WINDOW: (u64, u64) = (1_000, 1_000_000);
 
-    /// A plan with a single hand-placed fault.
-    pub fn single(at: Cycle, kind: FaultKind, magnitude: u64) -> Self {
-        FaultPlan {
-            seed: 0,
-            events: vec![FaultEvent {
-                at,
-                kind,
-                magnitude,
-                site: None,
-            }],
+    fn name(self) -> &'static str {
+        match self {
+            FaultKind::CallbackOverrun => "overrun",
+            FaultKind::IllegalAction => "illegal",
+            FaultKind::FabricExhaustion => "fabric",
+            FaultKind::MshrPressure => "mshr",
+            FaultKind::DelayedDram => "dram",
         }
     }
 
-    /// A seeded plan of `count` faults drawn from `kinds` (round-robin)
-    /// with injection cycles uniform in `[lo, hi)` and default
-    /// magnitudes. Identical arguments always produce an identical
-    /// plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kinds` is empty or `lo >= hi`.
-    pub fn seeded(seed: u64, kinds: &[FaultKind], count: usize, lo: Cycle, hi: Cycle) -> Self {
-        assert!(!kinds.is_empty(), "kinds must be non-empty");
-        assert!(lo < hi, "cycle window must be non-empty");
-        let mut rng = Rng::new(seed);
-        let events = (0..count)
-            .map(|i| {
-                let kind = kinds[i % kinds.len()];
-                FaultEvent {
-                    at: lo + rng.below(hi - lo),
-                    kind,
-                    magnitude: kind.default_magnitude(),
-                    site: None,
-                }
-            })
-            .collect();
-        FaultPlan { seed, events }
-    }
-
-    /// Parse the `--faults seed:kind[:count]` flag syntax, e.g.
-    /// `7:dram`, `3:overrun:4`, or `11:mix:10` (`mix`/`all` cycles
-    /// through every kind). Injection cycles are spread over the first
-    /// million cycles; campaigns that know the run horizon should use
-    /// [`FaultPlan::seeded`] directly.
-    pub fn parse(s: &str) -> Result<FaultPlan, String> {
-        let parts: Vec<&str> = s.split(':').collect();
-        if parts.len() < 2 || parts.len() > 3 {
-            return Err(format!("--faults wants seed:kind[:count], got `{s}`"));
+    fn event(at: Cycle, kind: Self) -> FaultEvent {
+        FaultEvent {
+            at,
+            kind,
+            magnitude: kind.default_magnitude(),
+            site: None,
         }
-        let seed: u64 = parts[0]
-            .parse()
-            .map_err(|_| format!("bad fault seed `{}`", parts[0]))?;
-        let kinds: Vec<FaultKind> = match parts[1] {
-            "mix" | "all" => FaultKind::ALL.to_vec(),
-            other => vec![FaultKind::from_name(other).ok_or(format!(
-                "unknown fault kind `{other}` (want overrun, illegal, \
-                 fabric, mshr, dram, or mix)"
-            ))?],
-        };
-        let count: usize = match parts.get(2) {
-            Some(c) => c.parse().map_err(|_| format!("bad fault count `{c}`"))?,
-            None => kinds.len(),
-        };
-        Ok(FaultPlan::seeded(seed, &kinds, count, 1_000, 1_000_000))
     }
 }
 
@@ -306,7 +353,8 @@ mod tests {
 
     #[test]
     fn single_fires_once_when_due() {
-        let plan = FaultPlan::single(100, FaultKind::DelayedDram, 7);
+        let mut plan = FaultPlan::single(100, FaultKind::DelayedDram);
+        plan.events[0].magnitude = 7;
         let mut inj = FaultInjector::new(Some(&plan));
         assert_eq!(inj.poll(99, FaultKind::DelayedDram), None);
         assert_eq!(inj.poll(50, FaultKind::MshrPressure), None);
@@ -318,7 +366,7 @@ mod tests {
 
     #[test]
     fn kind_filter_respected() {
-        let plan = FaultPlan::single(0, FaultKind::IllegalAction, 0);
+        let plan = FaultPlan::single(0, FaultKind::IllegalAction);
         let mut inj = FaultInjector::new(Some(&plan));
         assert_eq!(inj.poll(1_000, FaultKind::CallbackOverrun), None);
         assert_eq!(inj.poll(1_000, FaultKind::IllegalAction), Some(0));
@@ -345,33 +393,123 @@ mod tests {
         }
     }
 
+    /// `parse` draws exactly these schedules: every injection point,
+    /// kind and payload, captured from the two separate plan types
+    /// before they became one [`Plan`]. A change to the RNG draw order
+    /// fails here. Malformed specs are rejected with the family's flag
+    /// or noun in the message.
     #[test]
-    fn parse_forms() {
-        let p = FaultPlan::parse("7:dram").unwrap();
-        assert_eq!(p.seed, 7);
-        assert_eq!(p.events.len(), 1);
-        assert_eq!(p.events[0].kind, FaultKind::DelayedDram);
+    fn parse_draws_pinned_schedules() {
+        use crate::storage::{IoFault, IoFaultKind as Io};
+        use FaultKind::*;
 
-        let p = FaultPlan::parse("3:overrun:4").unwrap();
-        assert_eq!(p.events.len(), 4);
-        assert!(p
-            .events
-            .iter()
-            .all(|e| e.kind == FaultKind::CallbackOverrun));
+        fn check<K: PlanKind>(cases: &[(&str, Vec<K::Event>)], malformed: &[(&str, &str)]) {
+            for (spec, want) in cases {
+                let plan = Plan::<K>::parse(spec).unwrap();
+                let seed = spec.split(':').next().unwrap().parse::<u64>().unwrap();
+                assert_eq!(plan.seed, seed, "--{} {spec}", K::FLAG);
+                assert_eq!(&plan.events, want, "--{} {spec}", K::FLAG);
+            }
+            for (spec, err) in malformed {
+                assert_eq!(Plan::<K>::parse(spec).unwrap_err(), *err);
+            }
+        }
+        let f = |evs: &[(Cycle, FaultKind, u64)]| -> Vec<FaultEvent> {
+            evs.iter()
+                .map(|&(at, kind, magnitude)| FaultEvent {
+                    at,
+                    kind,
+                    magnitude,
+                    site: None,
+                })
+                .collect()
+        };
+        let io = |evs: &[(u64, Io)]| -> Vec<IoFault> {
+            evs.iter()
+                .map(|&(at_op, kind)| IoFault { at_op, kind })
+                .collect()
+        };
 
-        let p = FaultPlan::parse("11:mix:10").unwrap();
-        assert_eq!(p.events.len(), 10);
+        check::<FaultKind>(
+            &[
+                ("7:dram", f(&[(700875, DelayedDram, 400000)])),
+                (
+                    "3:overrun:4",
+                    f(&[
+                        (690947, CallbackOverrun, 150000),
+                        (640940, CallbackOverrun, 150000),
+                        (219044, CallbackOverrun, 150000),
+                        (534427, CallbackOverrun, 150000),
+                    ]),
+                ),
+                (
+                    "11:mix:10",
+                    f(&[
+                        (224050, CallbackOverrun, 150000),
+                        (88147, IllegalAction, 0),
+                        (246015, FabricExhaustion, 0),
+                        (444331, MshrPressure, 12),
+                        (86166, DelayedDram, 400000),
+                        (307365, CallbackOverrun, 150000),
+                        (512920, IllegalAction, 0),
+                        (995765, FabricExhaustion, 0),
+                        (632369, MshrPressure, 12),
+                        (229883, DelayedDram, 400000),
+                    ]),
+                ),
+            ],
+            &[
+                ("x:dram", "bad fault seed `x`"),
+                (
+                    "1:bogus",
+                    "unknown fault kind `bogus` (want overrun, illegal, fabric, mshr, dram, or mix)",
+                ),
+                ("1:dram:zzz", "bad fault count `zzz`"),
+                ("1", "--faults wants seed:kind[:count], got `1`"),
+                ("1:dram:2:3", "--faults wants seed:kind[:count], got `1:dram:2:3`"),
+            ],
+        );
 
-        assert!(FaultPlan::parse("x:dram").is_err());
-        assert!(FaultPlan::parse("1:bogus").is_err());
-        assert!(FaultPlan::parse("1:dram:zzz").is_err());
-        assert!(FaultPlan::parse("1").is_err());
-        assert!(FaultPlan::parse("1:dram:2:3").is_err());
+        let flip = Io::BitFlip { offset: 3, bit: 5 };
+        check::<Io>(
+            &[
+                ("7:torn", io(&[(44, Io::TornWrite { keep: 7 })])),
+                (
+                    "3:flip:4",
+                    io(&[(44, flip), (40, flip), (13, flip), (34, flip)]),
+                ),
+                (
+                    "11:mix:10",
+                    io(&[
+                        (14, Io::Crash),
+                        (5, Io::CrashAfter),
+                        (15, Io::TornWrite { keep: 7 }),
+                        (28, Io::DropRename),
+                        (5, Io::DuplicateAppend),
+                        (19, flip),
+                        (32, Io::TransientError),
+                        (63, Io::PermanentError),
+                        (40, Io::Crash),
+                        (14, Io::CrashAfter),
+                    ]),
+                ),
+            ],
+            &[
+                ("x:torn", "bad io-fault seed `x`"),
+                (
+                    "1:bogus",
+                    "unknown io-fault kind `bogus` (want crash, crash-after, torn, \
+                     drop-rename, dup-append, flip, transient, permanent, or mix)",
+                ),
+                ("1", "--io-faults wants seed:kind[:count], got `1`"),
+            ],
+        );
     }
 
     #[test]
     fn site_addressed_events_fire_only_at_their_site() {
-        let mut plan = FaultPlan::single(10, FaultKind::MshrPressure, 4);
+        let mut plan = FaultPlan::single(10, FaultKind::MshrPressure);
+        plan.events[0].magnitude = 4;
         plan.events[0].site = Some(3);
         let mut inj = FaultInjector::new(Some(&plan));
         assert_eq!(inj.poll(100, FaultKind::MshrPressure), None);
@@ -382,7 +520,8 @@ mod tests {
 
     #[test]
     fn unaddressed_events_fire_at_any_site() {
-        let plan = FaultPlan::single(10, FaultKind::DelayedDram, 7);
+        let mut plan = FaultPlan::single(10, FaultKind::DelayedDram);
+        plan.events[0].magnitude = 7;
         let mut inj = FaultInjector::new(Some(&plan));
         assert_eq!(inj.poll_at(100, FaultKind::DelayedDram, 5), Some(7));
     }

@@ -14,10 +14,11 @@
 //!   at the N-th site: crash before or after the operation, tear a
 //!   write at byte k, drop the rename of an atomic write (leaving only
 //!   temp debris), duplicate an append, flip a bit in the written
-//!   bytes, or surface a transient/permanent I/O error. The plan is a
-//!   seeded, pre-computed cursor exactly like
-//!   [`FaultPlan`](crate::fault::FaultPlan), so a crash-point sweep can
-//!   enumerate *every* site of a campaign and prove recovery from each.
+//!   bytes, or surface a transient/permanent I/O error. The plan is an
+//!   [`IoFaultPlan`], the same seeded [`Plan`] type as
+//!   [`FaultPlan`](crate::fault::FaultPlan) scheduled over I/O sites, so
+//!   a crash-point sweep can enumerate *every* site of a campaign and
+//!   prove recovery from each.
 //!
 //! Injected crashes are modeled as panics carrying the
 //! [`CRASH_MARKER`] prefix; the sweep harness catches them with
@@ -40,7 +41,7 @@ use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use crate::rng::Rng;
+use crate::fault::{Plan, PlanKind};
 
 /// Panic-payload prefix for injected storage crashes; sweep harnesses
 /// and the campaign runner recognize interrupted attempts by it.
@@ -356,26 +357,6 @@ impl IoFaultKind {
         IoFaultKind::TransientError,
         IoFaultKind::PermanentError,
     ];
-
-    /// Short name used by the `--io-faults seed:kind[:count]` flag.
-    pub fn name(self) -> &'static str {
-        match self {
-            IoFaultKind::Crash => "crash",
-            IoFaultKind::CrashAfter => "crash-after",
-            IoFaultKind::TornWrite { .. } => "torn",
-            IoFaultKind::DropRename => "drop-rename",
-            IoFaultKind::DuplicateAppend => "dup-append",
-            IoFaultKind::BitFlip { .. } => "flip",
-            IoFaultKind::TransientError => "transient",
-            IoFaultKind::PermanentError => "permanent",
-        }
-    }
-
-    /// Inverse of [`name`](IoFaultKind::name), with default payloads
-    /// for the parameterized kinds.
-    pub fn from_name(s: &str) -> Option<IoFaultKind> {
-        IoFaultKind::ALL.iter().copied().find(|k| k.name() == s)
-    }
 }
 
 /// One scheduled I/O fault: at the `at_op`-th durable operation the
@@ -388,76 +369,31 @@ pub struct IoFault {
     pub kind: IoFaultKind,
 }
 
-/// A seeded, deterministic schedule of I/O faults — the persistence
-/// sibling of [`FaultPlan`](crate::fault::FaultPlan).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct IoFaultPlan {
-    /// The seed the plan was derived from (0 for hand-built plans).
-    pub seed: u64,
-    /// Scheduled faults. At most one fires per operation; the first
-    /// match in vector order wins.
-    pub faults: Vec<IoFault>,
-}
+/// A seeded schedule of I/O faults by operation index.
+pub type IoFaultPlan = Plan<IoFaultKind>;
 
-impl IoFaultPlan {
-    /// A plan that injects nothing (pure I/O-site counting).
-    pub fn empty() -> Self {
-        IoFaultPlan::default()
-    }
+impl PlanKind for IoFaultKind {
+    type Event = IoFault;
+    const KINDS: &'static [Self] = &IoFaultKind::ALL;
+    const FLAG: &'static str = "io-faults";
+    /// The first 64 I/O sites.
+    const PARSE_WINDOW: (u64, u64) = (0, 64);
 
-    /// A plan with a single hand-placed fault.
-    pub fn single(at_op: u64, kind: IoFaultKind) -> Self {
-        IoFaultPlan {
-            seed: 0,
-            faults: vec![IoFault { at_op, kind }],
+    fn name(self) -> &'static str {
+        match self {
+            IoFaultKind::Crash => "crash",
+            IoFaultKind::CrashAfter => "crash-after",
+            IoFaultKind::TornWrite { .. } => "torn",
+            IoFaultKind::DropRename => "drop-rename",
+            IoFaultKind::DuplicateAppend => "dup-append",
+            IoFaultKind::BitFlip { .. } => "flip",
+            IoFaultKind::TransientError => "transient",
+            IoFaultKind::PermanentError => "permanent",
         }
     }
 
-    /// A seeded plan of `count` faults drawn from `kinds` (round-robin)
-    /// at operation indices uniform in `[lo, hi)`. Identical arguments
-    /// always produce an identical plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kinds` is empty or `lo >= hi`.
-    pub fn seeded(seed: u64, kinds: &[IoFaultKind], count: usize, lo: u64, hi: u64) -> Self {
-        assert!(!kinds.is_empty(), "kinds must be non-empty");
-        assert!(lo < hi, "op window must be non-empty");
-        let mut rng = Rng::new(seed);
-        let faults = (0..count)
-            .map(|i| IoFault {
-                at_op: lo + rng.below(hi - lo),
-                kind: kinds[i % kinds.len()],
-            })
-            .collect();
-        IoFaultPlan { seed, faults }
-    }
-
-    /// Parse the `--io-faults seed:kind[:count]` flag syntax, e.g.
-    /// `7:torn`, `3:flip:4`, or `11:mix:10` (`mix`/`all` cycles through
-    /// every kind). Operation indices are spread over the first 64
-    /// sites; sweeps that know the site count should use
-    /// [`IoFaultPlan::single`] per site instead.
-    pub fn parse(s: &str) -> Result<IoFaultPlan, String> {
-        let parts: Vec<&str> = s.split(':').collect();
-        if parts.len() < 2 || parts.len() > 3 {
-            return Err(format!("--io-faults wants seed:kind[:count], got `{s}`"));
-        }
-        let seed: u64 = parts[0]
-            .parse()
-            .map_err(|_| format!("bad io-fault seed `{}`", parts[0]))?;
-        let kinds: Vec<IoFaultKind> = match parts[1] {
-            "mix" | "all" => IoFaultKind::ALL.to_vec(),
-            other => vec![IoFaultKind::from_name(other).ok_or(format!(
-                "unknown io-fault kind `{other}` (want crash, crash-after, torn, \
-                 drop-rename, dup-append, flip, transient, permanent, or mix)"
-            ))?],
-        };
-        let count: usize = match parts.get(2) {
-            Some(c) => c.parse().map_err(|_| format!("bad io-fault count `{c}`"))?,
-            None => kinds.len(),
-        };
-        Ok(IoFaultPlan::seeded(seed, &kinds, count, 0, 64))
+    fn event(at_op: u64, kind: Self) -> IoFault {
+        IoFault { at_op, kind }
     }
 }
 
@@ -497,7 +433,7 @@ impl fmt::Debug for FaultStorage {
 impl FaultStorage {
     /// Wrap `inner` with `plan`.
     pub fn new(inner: Arc<dyn Storage>, plan: IoFaultPlan) -> Self {
-        let taken = vec![false; plan.faults.len()];
+        let taken = vec![false; plan.events.len()];
         FaultStorage {
             inner,
             plan,
@@ -533,7 +469,7 @@ impl FaultStorage {
         let mut c = self.cursor.lock().ok()?;
         let site = c.ops;
         c.ops += 1;
-        for (i, f) in self.plan.faults.iter().enumerate() {
+        for (i, f) in self.plan.events.iter().enumerate() {
             if !c.taken[i] && f.at_op == site {
                 c.taken[i] = true;
                 c.fired += 1;
@@ -867,7 +803,7 @@ mod tests {
         let d = tmpdir("errs");
         let plan = IoFaultPlan {
             seed: 0,
-            faults: vec![
+            events: vec![
                 IoFault {
                     at_op: 0,
                     kind: IoFaultKind::TransientError,
@@ -908,25 +844,6 @@ mod tests {
         s.remove(&p).unwrap();
         assert_eq!(s.ops_performed(), 6);
         assert_eq!(s.faults_fired(), 0);
-    }
-
-    #[test]
-    fn seeded_plan_is_deterministic_and_parse_forms_work() {
-        let a = IoFaultPlan::seeded(9, &IoFaultKind::ALL, 12, 0, 100);
-        let b = IoFaultPlan::seeded(9, &IoFaultKind::ALL, 12, 0, 100);
-        assert_eq!(a, b);
-        assert_ne!(a, IoFaultPlan::seeded(10, &IoFaultKind::ALL, 12, 0, 100));
-        for (i, f) in a.faults.iter().enumerate() {
-            assert!(f.at_op < 100);
-            assert_eq!(f.kind, IoFaultKind::ALL[i % IoFaultKind::ALL.len()]);
-        }
-        let p = IoFaultPlan::parse("7:torn").unwrap();
-        assert_eq!(p.faults.len(), 1);
-        assert!(matches!(p.faults[0].kind, IoFaultKind::TornWrite { .. }));
-        assert_eq!(IoFaultPlan::parse("3:mix:5").unwrap().faults.len(), 5);
-        assert!(IoFaultPlan::parse("x:torn").is_err());
-        assert!(IoFaultPlan::parse("1:bogus").is_err());
-        assert!(IoFaultPlan::parse("1").is_err());
     }
 
     #[test]

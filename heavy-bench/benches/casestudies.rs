@@ -38,7 +38,7 @@ fn bench_phi(c: &mut Criterion) {
         threads: 4,
         threshold: 3,
         seed: 2,
-        lanes: 0,
+        ..Default::default()
     };
     let cfg = SystemConfig::default_16core();
     for v in [phi::Variant::Software, phi::Variant::Tako] {

@@ -33,7 +33,7 @@ fn campaign_over_fig16_and_fig17_simulates_the_sweep_once() {
         paper: false,
         seed: 0x7AC0,
         jobs: 1,
-        lanes: 0,
+        ..Default::default()
     };
     let before = simulated_accesses();
     let fig16_alone = fig16_hats(opts);

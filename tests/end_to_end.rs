@@ -68,7 +68,7 @@ fn all_pagerank_implementations_agree() {
         threads: 3,
         threshold: 3,
         seed: 99,
-        lanes: 0,
+        ..Default::default()
     };
     let mut rng = Rng::new(phi_params.seed);
     let g = tako::graph::gen::power_law(
@@ -133,7 +133,7 @@ fn phi_ranks_are_exact_when_vertex_data_overflows_the_llc() {
         threads: 16,
         threshold: 3,
         seed: 5,
-        lanes: 0,
+        ..Default::default()
     };
     let mut cfg = SystemConfig::with_tiles(16);
     cfg.llc_bank.size_bytes = params.vertices as u64 * 8 / 4 / 16;
