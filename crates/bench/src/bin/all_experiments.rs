@@ -56,7 +56,8 @@ use std::time::{Duration, Instant};
 use tako_bench::campaign::{run_campaign, CampaignOpts};
 use tako_bench::memo::MemoStats;
 use tako_bench::{
-    run_all_catch, validate_base_config, warn_unknown, ExperimentResult, Opts, EXPERIMENTS,
+    flag_value, run_all_catch, validate_base_config, warn_unknown, ExperimentResult, Opts,
+    EXPERIMENTS,
 };
 use tako_sim::storage::{DiskStorage, FaultStorage, IoFaultPlan, Storage};
 
@@ -70,14 +71,16 @@ struct BenchFlags {
     profile: bool,
     journal: Option<String>,
     resume: bool,
-    deadline: Option<f64>,
+    deadline: Option<Duration>,
     retries: u32,
     checkpoint_every: u64,
     crash_after_units: Option<u64>,
     io_faults: Option<IoFaultPlan>,
 }
 
-fn parse_bench_flags(unknown: Vec<String>) -> BenchFlags {
+/// Parse this binary's flags out of `unknown`, warning about anything
+/// still unrecognized. A missing or malformed value is an error.
+fn parse_bench_flags(unknown: &[String]) -> Result<BenchFlags, String> {
     let mut flags = BenchFlags {
         json_path: None,
         keep_going: false,
@@ -93,108 +96,53 @@ fn parse_bench_flags(unknown: Vec<String>) -> BenchFlags {
         io_faults: None,
     };
     let mut rest = Vec::new();
-    let mut i = 0;
-    while i < unknown.len() {
-        match unknown[i].as_str() {
+    let mut args = unknown.iter();
+    while let Some(arg) = args.next() {
+        let flag = arg.as_str();
+        match flag {
             "--bench" => {
                 flags
                     .json_path
                     .get_or_insert_with(|| "BENCH_sim.json".to_string());
             }
-            "--bench-json" => {
-                if let Some(p) = unknown.get(i + 1) {
-                    flags.json_path = Some(p.clone());
-                    i += 1;
-                } else {
-                    eprintln!("warning: --bench-json needs a path");
-                }
-            }
+            "--bench-json" => flags.json_path = Some(flag_value(flag, args.next())?),
             "--keep-going" => flags.keep_going = true,
-            "--trace-out" => {
-                if let Some(p) = unknown.get(i + 1) {
-                    flags.trace_out = Some(p.clone());
-                    i += 1;
-                } else {
-                    eprintln!("warning: --trace-out needs a path");
-                }
-            }
+            "--trace-out" => flags.trace_out = Some(flag_value(flag, args.next())?),
             "--profile" => flags.profile = true,
-            "--force-panic" => {
-                if let Some(n) = unknown.get(i + 1) {
-                    flags.force_panic = Some(n.clone());
-                    i += 1;
-                } else {
-                    eprintln!("warning: --force-panic needs a harness name");
-                }
-            }
-            "--journal" => {
-                if let Some(p) = unknown.get(i + 1) {
-                    flags.journal = Some(p.clone());
-                    i += 1;
-                } else {
-                    eprintln!("warning: --journal needs a directory");
-                }
-            }
+            "--force-panic" => flags.force_panic = Some(flag_value(flag, args.next())?),
+            "--journal" => flags.journal = Some(flag_value(flag, args.next())?),
             "--resume" => flags.resume = true,
             "--deadline" => {
-                if let Some(v) = unknown.get(i + 1) {
-                    flags.deadline = v.parse().ok();
-                    i += 1;
-                } else {
-                    eprintln!("warning: --deadline needs seconds");
-                }
+                let secs: f64 = flag_value(flag, args.next())?;
+                let budget = Duration::try_from_secs_f64(secs)
+                    .map_err(|_| format!("{flag}: `{secs}` is not a duration in seconds"))?;
+                flags.deadline = Some(budget);
             }
-            "--retries" => {
-                if let Some(v) = unknown.get(i + 1) {
-                    flags.retries = v.parse().unwrap_or(0);
-                    i += 1;
-                } else {
-                    eprintln!("warning: --retries needs a count");
-                }
-            }
+            "--retries" => flags.retries = flag_value(flag, args.next())?,
             "--checkpoint-every" => {
-                if let Some(v) = unknown.get(i + 1) {
-                    flags.checkpoint_every = v.parse::<u64>().unwrap_or(1).max(1);
-                    i += 1;
-                } else {
-                    eprintln!("warning: --checkpoint-every needs a count");
-                }
+                flags.checkpoint_every = flag_value::<u64>(flag, args.next())?.max(1);
             }
-            "--crash-after-units" => {
-                if let Some(v) = unknown.get(i + 1) {
-                    flags.crash_after_units = v.parse().ok();
-                    i += 1;
-                } else {
-                    eprintln!("warning: --crash-after-units needs a count");
-                }
-            }
+            "--crash-after-units" => flags.crash_after_units = Some(flag_value(flag, args.next())?),
             "--io-faults" => {
-                if let Some(v) = unknown.get(i + 1) {
-                    match IoFaultPlan::parse(v) {
-                        Ok(plan) => flags.io_faults = Some(plan),
-                        Err(e) => {
-                            eprintln!("error: --io-faults {v}: {e}");
-                            std::process::exit(2);
-                        }
-                    }
-                    i += 1;
-                } else {
-                    eprintln!("warning: --io-faults needs seed:kind[:count]");
-                }
+                let v: String = flag_value(flag, args.next())?;
+                let plan = IoFaultPlan::parse(&v).map_err(|e| format!("{flag} {v}: {e}"))?;
+                flags.io_faults = Some(plan);
             }
             other => rest.push(other.to_string()),
         }
-        i += 1;
     }
     warn_unknown(&rest);
-    flags
+    Ok(flags)
 }
 
 fn main() {
     validate_base_config();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (opts, unknown) = Opts::parse_or_exit(&args);
-    let flags = parse_bench_flags(unknown);
+    let flags = parse_bench_flags(&unknown).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
     if flags.force_panic.is_some() && !flags.keep_going && flags.journal.is_none() {
         eprintln!("warning: --force-panic without --keep-going aborts the run");
     }
@@ -216,7 +164,7 @@ fn main() {
         let c = CampaignOpts {
             dir: dir.into(),
             resume: flags.resume,
-            deadline: flags.deadline.map(Duration::from_secs_f64),
+            deadline: flags.deadline,
             retries: flags.retries,
             checkpoint_every: flags.checkpoint_every,
             force_panic: flags.force_panic.clone(),
@@ -439,4 +387,76 @@ fn bench_json(
     }
     s.push_str("  }\n}\n");
     s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<BenchFlags, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_bench_flags(&args)
+    }
+
+    #[test]
+    fn well_formed_values_parse() {
+        let f = parse(&[
+            "--deadline",
+            "1.5",
+            "--retries",
+            "2",
+            "--checkpoint-every",
+            "0",
+            "--crash-after-units",
+            "3",
+            "--journal",
+            "j",
+            "--io-faults",
+            "7:torn",
+        ])
+        .expect("valid flags");
+        assert_eq!(f.deadline, Some(Duration::from_millis(1500)));
+        assert_eq!(f.retries, 2);
+        assert_eq!(f.checkpoint_every, 1, "a zero cadence clamps to 1");
+        assert_eq!(f.crash_after_units, Some(3));
+        assert_eq!(f.journal.as_deref(), Some("j"));
+        assert!(f.io_faults.is_some());
+    }
+
+    #[test]
+    fn malformed_values_are_errors() {
+        for (flag, bad) in [
+            ("--deadline", "5m"),
+            ("--deadline", "-1"),
+            ("--retries", "two"),
+            ("--checkpoint-every", "x"),
+            ("--crash-after-units", "x"),
+            ("--io-faults", "7:nope"),
+        ] {
+            let err = parse(&[flag, bad])
+                .err()
+                .unwrap_or_else(|| panic!("{flag} {bad} parsed"));
+            assert!(err.starts_with(flag), "{flag} {bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn missing_values_are_errors() {
+        for flag in [
+            "--bench-json",
+            "--trace-out",
+            "--force-panic",
+            "--journal",
+            "--deadline",
+            "--retries",
+            "--checkpoint-every",
+            "--crash-after-units",
+            "--io-faults",
+        ] {
+            let err = parse(&["--resume", flag])
+                .err()
+                .unwrap_or_else(|| panic!("trailing {flag} parsed"));
+            assert_eq!(err, format!("{flag} needs a value"));
+        }
+    }
 }

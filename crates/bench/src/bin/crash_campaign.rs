@@ -38,7 +38,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use tako_bench::campaign::{run_campaign, CampaignOpts, CampaignOutcome};
-use tako_bench::{doctor, run_variants, Experiment, Opts};
+use tako_bench::{doctor, flag_value, run_variants, Experiment, Opts};
 use tako_sim::digest::Sha256;
 use tako_sim::fault::PlanKind;
 use tako_sim::storage::CRASH_MARKER;
@@ -248,56 +248,64 @@ fn seed_opts(seed: u64) -> Opts {
     sweep_opts(seed)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut root: Option<PathBuf> = None;
-    let mut seed = 42u64;
-    let mut verbose = false;
-    let mut kinds: Vec<IoFaultKind> = vec![
-        IoFaultKind::Crash,
-        IoFaultKind::CrashAfter,
-        IoFaultKind::TornWrite { keep: 7 },
-        IoFaultKind::DropRename,
-        IoFaultKind::BitFlip { offset: 5, bit: 3 },
-        IoFaultKind::DuplicateAppend,
-    ];
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--root" => {
-                root = args.get(i + 1).map(PathBuf::from);
-                i += 1;
-            }
-            "--seed" => {
-                seed = args.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or(42);
-                i += 1;
-            }
+/// Command-line settings of one sweep.
+struct SweepFlags {
+    root: Option<PathBuf>,
+    seed: u64,
+    kinds: Vec<IoFaultKind>,
+    verbose: bool,
+}
+
+const USAGE: &str = "usage: crash_campaign [--root dir] [--seed n] [--kinds a,b,c] [--verbose]";
+
+/// Parse the sweep's flags. An unknown flag, an unknown fault kind, or
+/// a missing or malformed value is an error.
+fn parse_flags(args: &[String]) -> Result<SweepFlags, String> {
+    let mut flags = SweepFlags {
+        root: None,
+        seed: 42,
+        kinds: vec![
+            IoFaultKind::Crash,
+            IoFaultKind::CrashAfter,
+            IoFaultKind::TornWrite { keep: 7 },
+            IoFaultKind::DropRename,
+            IoFaultKind::BitFlip { offset: 5, bit: 3 },
+            IoFaultKind::DuplicateAppend,
+        ],
+        verbose: false,
+    };
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let flag = arg.as_str();
+        match flag {
+            "--root" => flags.root = Some(flag_value(flag, args.next())?),
+            "--seed" => flags.seed = flag_value(flag, args.next())?,
             "--kinds" => {
-                let spec = args.get(i + 1).cloned().unwrap_or_default();
-                kinds = spec
+                let spec: String = flag_value(flag, args.next())?;
+                flags.kinds = spec
                     .split(',')
                     .filter(|s| !s.is_empty())
-                    .map(|s| match IoFaultKind::from_name(s) {
-                        Some(k) => k,
-                        None => {
-                            eprintln!("crash_campaign: unknown fault kind `{s}`");
-                            std::process::exit(2);
-                        }
-                    })
-                    .collect();
-                i += 1;
+                    .map(|s| IoFaultKind::from_name(s).ok_or(format!("unknown fault kind `{s}`")))
+                    .collect::<Result<_, _>>()?;
             }
-            "--verbose" => verbose = true,
-            other => {
-                eprintln!("crash_campaign: unknown flag `{other}`");
-                eprintln!(
-                    "usage: crash_campaign [--root dir] [--seed n] [--kinds a,b,c] [--verbose]"
-                );
-                std::process::exit(2);
-            }
+            "--verbose" => flags.verbose = true,
+            other => return Err(format!("unknown flag `{other}`\n{USAGE}")),
         }
-        i += 1;
     }
+    Ok(flags)
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let SweepFlags {
+        root,
+        seed,
+        kinds,
+        verbose,
+    } = parse_flags(&args).unwrap_or_else(|e| {
+        eprintln!("crash_campaign: {e}");
+        std::process::exit(2);
+    });
     let root = root.unwrap_or_else(|| {
         std::env::temp_dir().join(format!("tako-crash-sweep-{}", std::process::id()))
     });
@@ -357,4 +365,37 @@ fn main() {
         std::process::exit(1);
     }
     println!("crash sweep: every site recovered to the golden digest");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<SweepFlags, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_flags(&args)
+    }
+
+    #[test]
+    fn flag_values_parse_or_fail_loudly() {
+        let f = parse(&["--seed", "7", "--kinds", "crash,torn", "--root", "r"]).expect("valid");
+        assert_eq!(f.seed, 7);
+        assert_eq!(f.kinds.len(), 2);
+        assert_eq!(f.root, Some(PathBuf::from("r")));
+        assert_eq!(parse(&[]).expect("defaults").seed, 42);
+
+        assert_eq!(
+            parse(&["--seed", "x"]).err().as_deref(),
+            Some("--seed: cannot parse `x`")
+        );
+        for flag in ["--seed", "--root", "--kinds"] {
+            assert_eq!(
+                parse(&[flag]).err(),
+                Some(format!("{flag} needs a value")),
+                "trailing {flag}"
+            );
+        }
+        assert!(parse(&["--kinds", "crash,nope"]).is_err());
+        assert!(parse(&["--bogus"]).is_err());
+    }
 }

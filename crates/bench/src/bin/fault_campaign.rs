@@ -24,7 +24,7 @@
 //!                        plan (kinds: overrun illegal fabric mshr dram mix)
 //! ```
 
-use tako_bench::{run_variants, warn_unknown, Opts};
+use tako_bench::{flag_value, run_variants, warn_unknown, Opts};
 use tako_core::TakoSystem;
 use tako_cpu::{AccessKind, MemSystem};
 use tako_sim::checkpoint::encode;
@@ -102,48 +102,32 @@ struct CampaignFlags {
     adhoc: Option<FaultPlan>,
 }
 
-fn parse_campaign_flags(unknown: Vec<String>) -> CampaignFlags {
+/// Parse this binary's flags out of `unknown`, warning about anything
+/// still unrecognized. A missing or malformed value is an error.
+fn parse_campaign_flags(unknown: &[String]) -> Result<CampaignFlags, String> {
     let mut flags = CampaignFlags {
         scenarios: 8,
         watchdog_cycles: WatchdogConfig::default().stall_cycles,
         adhoc: None,
     };
     let mut rest = Vec::new();
-    let mut i = 0;
-    while i < unknown.len() {
-        match unknown[i].as_str() {
-            "--scenarios" => {
-                if let Some(v) = unknown.get(i + 1) {
-                    flags.scenarios = v.parse().unwrap_or(flags.scenarios);
-                    i += 1;
-                }
-            }
+    let mut args = unknown.iter();
+    while let Some(arg) = args.next() {
+        let flag = arg.as_str();
+        match flag {
+            "--scenarios" => flags.scenarios = flag_value(flag, args.next())?,
             "--watchdog-cycles" => {
-                if let Some(v) = unknown.get(i + 1) {
-                    flags.watchdog_cycles = v.parse().unwrap_or(flags.watchdog_cycles).max(1);
-                    i += 1;
-                }
+                flags.watchdog_cycles = flag_value::<u64>(flag, args.next())?.max(1);
             }
             "--faults" => {
-                if let Some(v) = unknown.get(i + 1) {
-                    match FaultPlan::parse(v) {
-                        Ok(p) => flags.adhoc = Some(p),
-                        Err(e) => {
-                            eprintln!("error: {e}");
-                            std::process::exit(2);
-                        }
-                    }
-                    i += 1;
-                } else {
-                    eprintln!("warning: --faults needs seed:kind[:count]");
-                }
+                let v: String = flag_value(flag, args.next())?;
+                flags.adhoc = Some(FaultPlan::parse(&v)?);
             }
             other => rest.push(other.to_string()),
         }
-        i += 1;
     }
     warn_unknown(&rest);
-    flags
+    Ok(flags)
 }
 
 /// The base configuration for campaign runs.
@@ -347,7 +331,10 @@ fn main() {
     tako_bench::validate_base_config();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (opts, unknown) = Opts::parse_or_exit(&args);
-    let flags = parse_campaign_flags(unknown);
+    let flags = parse_campaign_flags(&unknown).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
 
     let mut total = 0usize;
     let mut failed = 0usize;
@@ -450,5 +437,45 @@ fn main() {
     assert_eq!(total_violations, 0, "invariant violations under fault");
     if failed > 0 {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<CampaignFlags, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_campaign_flags(&args)
+    }
+
+    #[test]
+    fn flag_values_parse_or_fail_loudly() {
+        let f = parse(&[
+            "--scenarios",
+            "3",
+            "--watchdog-cycles",
+            "0",
+            "--faults",
+            "7:dram",
+        ])
+        .expect("valid flags");
+        assert_eq!(f.scenarios, 3);
+        assert_eq!(f.watchdog_cycles, 1, "a zero stall bound clamps to 1");
+        assert!(f.adhoc.is_some());
+
+        for (flag, bad) in [("--scenarios", "six"), ("--watchdog-cycles", "2e5")] {
+            let err = parse(&[flag, bad])
+                .err()
+                .unwrap_or_else(|| panic!("{flag} {bad} parsed"));
+            assert_eq!(err, format!("{flag}: cannot parse `{bad}`"));
+        }
+        for flag in ["--scenarios", "--watchdog-cycles", "--faults"] {
+            let err = parse(&[flag])
+                .err()
+                .unwrap_or_else(|| panic!("trailing {flag} parsed"));
+            assert_eq!(err, format!("{flag} needs a value"));
+        }
+        assert!(parse(&["--faults", "7:nope"]).is_err());
     }
 }

@@ -24,8 +24,9 @@
 //! * `<name>.triage.txt` — written when an attempt dies (panic or
 //!   deadline kill): the panic payload — which for a deadline kill is
 //!   the hierarchy's triage bundle (diagnostic snapshot, fault-plan
-//!   cursor, event-trace tail, last checkpoint id) — plus the unit
-//!   cursor and the exact command line that resumes the campaign.
+//!   cursor, last checkpoint id, and the observer's timed event tail
+//!   when tracing is armed with `--trace-out`/`--profile`) — plus the
+//!   unit cursor and the exact command line that resumes the campaign.
 //! * `attempts.log` — one line per attempt with its outcome and the
 //!   deterministic backoff that preceded it.
 //!
@@ -53,7 +54,9 @@
 //! hierarchy's epoch sweep probes it at every quiescent point — a
 //! stalled simulation is killed from *inside* (a panic carrying the
 //! triage bundle) at its next epoch boundary, without any second
-//! thread or signal machinery.
+//! thread or signal machinery. Supervision attaches nothing to the
+//! hierarchy, so a supervised run walks the same lean paths as an
+//! unsupervised one.
 
 use std::cell::RefCell;
 use std::collections::HashMap;

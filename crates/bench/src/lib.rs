@@ -145,8 +145,9 @@ impl Opts {
     }
 }
 
-/// Parse the value following `flag`.
-fn flag_value<T: FromStr>(flag: &str, value: Option<&String>) -> Result<T, String> {
+/// Parse the value following `flag`: an error names the flag when the
+/// value is missing or does not parse as `T`.
+pub fn flag_value<T: FromStr>(flag: &str, value: Option<&String>) -> Result<T, String> {
     let v = value.ok_or_else(|| format!("{flag} needs a value"))?;
     v.parse().map_err(|_| format!("{flag}: cannot parse `{v}`"))
 }

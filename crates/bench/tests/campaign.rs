@@ -179,6 +179,9 @@ fn deadline_kill_leaves_triage_bundle_and_deterministic_backoff() {
             "triage missing {needle:?}: {triage}"
         );
     }
+    // Untraced, the bundle carries no event tail: only the observer
+    // (armed with tracing) records one.
+    assert!(!triage.contains("event tail"), "triage: {triage}");
 
     // The retry schedule is journaled and derivable from the seed: a
     // post-mortem (or a re-run) sees the identical backoff.

@@ -82,12 +82,12 @@ fn hot_path_is_allocation_free() {
 }
 
 /// The staged-pipeline vocabulary on top of the arrays — building a
-/// [`MemTxn`], serving it through [`CachePort`]/[`DramEdge`], and
+/// [`MemTxn`], serving it through a [`CachePort`] and a DRAM read, and
 /// emitting accounting on the [`AccountingBus`] — must be as
 /// allocation-free as the raw tag walks it wraps.
 #[test]
 fn txn_pipeline_hot_path_is_allocation_free() {
-    use tako_core::hierarchy::{CachePort, DramEdge, LevelPort, MemTxn};
+    use tako_core::hierarchy::{CachePort, MemTxn};
     use tako_mem::dram::Dram;
     use tako_sim::config::SystemConfig;
     use tako_sim::event::{AccountingBus, LevelId, TxnEvent, TxnSink};
@@ -111,13 +111,12 @@ fn txn_pipeline_hot_path_is_allocation_free() {
             txn.stamps.l2 = Some(k);
             let mut port = CachePort::new(&mut a, LevelId::Llc);
             if port.lookup_counted(line, &mut bus).is_none() {
-                txn.stamps.fill = DramEdge::new(&mut dram).serve(line, k, &mut bus);
+                txn.stamps.fill = Some(dram.read_line(line, k, &mut bus));
                 a.insert(line, txn.is_write(), false, txn.fill_kind, k);
             }
             let t1 = txn.stamps.fill.or(txn.stamps.l2).unwrap_or(k);
             let mut port = CachePort::new(&mut a, LevelId::Llc);
-            port.serve(line, t1, &mut bus);
-            let done = txn.retire(t1);
+            let done = port.serve(line, t1, &mut bus).unwrap_or(t1);
             bus.emit(TxnEvent::Hit(LevelId::L1d));
             bus.emit(TxnEvent::CoherenceInval);
             bus.emit(TxnEvent::NocHops { flits: 9, hops: 2 });
@@ -173,9 +172,8 @@ fn checkpoint_cadence_armed_but_idle_is_allocation_free() {
 }
 
 /// With tracing disarmed (the default), the observability layer's bus
-/// hooks — the cursor update, the span recorder, the event tap — must
-/// all reduce to one `SinkTap::None` discriminant test and allocate
-/// nothing.
+/// hooks — the cursor update, the span recorder, the event forward —
+/// must all reduce to one empty-observer test and allocate nothing.
 #[test]
 fn tracing_off_hot_path_is_allocation_free() {
     use tako_sim::event::{AccountingBus, LevelId, TxnEvent, TxnSink};
@@ -183,7 +181,7 @@ fn tracing_off_hot_path_is_allocation_free() {
     use tako_sim::trace::Stage;
 
     let mut bus = AccountingBus::new(FaultInjector::new(None));
-    assert!(bus.observer().is_none(), "tap must default to None");
+    assert!(bus.observer.is_none(), "observer must default to None");
     let n = allocs_in(|| {
         for k in 0..4096u64 {
             bus.observe_at(k, (k % 16) as usize);
@@ -202,13 +200,13 @@ fn tracing_off_hot_path_is_allocation_free() {
 /// preallocates at construction, and each record is a slot write.
 #[test]
 fn armed_observer_recording_is_allocation_free() {
-    use tako_sim::event::{AccountingBus, LevelId, SinkTap, TxnEvent, TxnSink};
+    use tako_sim::event::{AccountingBus, LevelId, TxnEvent, TxnSink};
     use tako_sim::fault::FaultInjector;
     use tako_sim::stats::Counter;
     use tako_sim::trace::{Observer, Stage};
 
     let mut bus = AccountingBus::new(FaultInjector::new(None));
-    bus.tap = SinkTap::Observer(Box::new(Observer::new()));
+    bus.observer = Some(Box::new(Observer::new()));
     let mut stats = tako_sim::stats::Stats::new();
     let n = allocs_in(|| {
         for k in 0..4096u64 {
@@ -217,7 +215,7 @@ fn armed_observer_recording_is_allocation_free() {
             bus.emit(TxnEvent::Miss(LevelId::Llc));
             bus.span_record(Stage::L2, k, k + 9);
             stats.add(Counter::L1dHit, 1);
-            if let Some(obs) = bus.observer_mut() {
+            if let Some(obs) = &mut bus.observer {
                 obs.record_callback(k % 500);
                 obs.record_txn(k, Some(k), Some(k + 2), None, None, k + 60);
                 if k % 64 == 0 {
@@ -229,7 +227,7 @@ fn armed_observer_recording_is_allocation_free() {
         }
     });
     assert_eq!(n, 0, "armed observer recording allocated");
-    let obs = bus.observer().expect("observer still attached");
+    let obs = bus.observer.as_deref().expect("observer still attached");
     assert_eq!(obs.ring.total(), 2 * 4096);
     assert_eq!(obs.metrics.total_samples(), 64);
 }

@@ -18,7 +18,7 @@ use tako_sim::fault::FaultKind;
 use tako_sim::{Cycle, TileId};
 
 use super::coherence::PrivateScope;
-use super::txn::{CachePort, DramEdge, LevelPort, MemTxn};
+use super::txn::{CachePort, MemTxn};
 use super::{Hierarchy, SchedPoint};
 use crate::morph::{CallbackKind, MorphId, MorphLevel};
 
@@ -281,8 +281,8 @@ impl Hierarchy {
     /// (without promotion or sharer tracking), else straight from DRAM
     /// **without installing in the LLC** — streaming data must not churn
     /// the inclusive LLC, whose evictions would invalidate the L1/L2
-    /// copy before the scan finishes the line. Composed from
-    /// [`LevelPort`]s: the bank port falls through to the DRAM edge.
+    /// copy before the scan finishes the line: the bank port's streaming
+    /// [`CachePort::serve`] falls through to a DRAM read.
     pub(crate) fn fetch_stream(&mut self, tile: TileId, line: Addr, t: Cycle) -> Cycle {
         let bank = self.mesh.bank_of_line(line);
         let mut t = t + self
@@ -294,13 +294,7 @@ impl Hierarchy {
         t = match served {
             Some(done) => done,
             None if is_phantom(line) => t,
-            // The DRAM edge serves every real line; if that contract
-            // ever breaks, degrade to a zero-latency miss rather than
-            // tearing down the walk — the checker observes the timing
-            // anomaly instead of a panic.
-            None => DramEdge::new(&mut self.dram)
-                .serve(line, t, &mut self.bus)
-                .unwrap_or(t),
+            None => self.dram.read_line(line, t, &mut self.bus),
         };
         t + self.mesh.transfer(bank, tile, Payload::Line, &mut self.bus)
     }

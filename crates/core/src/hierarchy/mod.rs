@@ -30,12 +30,12 @@
 //!   └──────────────────────┬───────────────────────────────┼─────────┘
 //!                          ▼                               ▼
 //!                   AccountingBus ◀──every stage──  eviction_callback
-//!              (Stats + faults + tap)                → run_callback
+//!           (Stats + faults + observer)               → run_callback
 //! ```
 //!
 //! * [`txn`] — the transaction vocabulary: [`MemTxn`], [`TxnKind`],
-//!   [`StageStamps`], and the [`LevelPort`] trait ([`CachePort`],
-//!   [`DramEdge`]) that charges per-level accounting at the port.
+//!   [`StageStamps`], and [`CachePort`], which charges per-level
+//!   accounting at the port.
 //! * `private.rs` — the core-side walk: L1d/L2 stages, non-temporal
 //!   stores, the watchdog epoch hook.
 //! * `llc.rs` — the shared level: bank arbitration, `fetch_shared`,
@@ -68,7 +68,7 @@ mod prefetch;
 mod private;
 pub mod txn;
 
-pub use txn::{CachePort, DramEdge, LevelPort, MemTxn, StageStamps, TxnKind};
+pub use txn::{CachePort, MemTxn, StageStamps, TxnKind};
 
 use tako_cache::array::CacheArray;
 use tako_cache::mshr::MshrFile;
@@ -79,7 +79,7 @@ use tako_mem::dram::Dram;
 use tako_noc::Mesh;
 use tako_sim::checkpoint::{SnapError, SnapReader, SnapWriter, Snapshot};
 use tako_sim::config::{SystemConfig, LINE_BYTES};
-use tako_sim::event::{AccountingBus, CbPhase, SinkTap, TxnEvent, TxnSink};
+use tako_sim::event::{AccountingBus, CbPhase, TxnEvent, TxnSink};
 use tako_sim::fault::{FaultInjector, FaultKind};
 use tako_sim::{Cycle, TileId};
 
@@ -147,7 +147,7 @@ pub struct Hierarchy {
     /// System parameters.
     pub cfg: SystemConfig,
     /// The unified accounting bus: counters, fault injector, optional
-    /// tap. Every stage emits here; no walk body counts inline.
+    /// observer. Every stage emits here; no walk body counts inline.
     pub bus: AccountingBus,
     /// Functional backing store (real *and* phantom data).
     pub mem: PhysMem,
@@ -211,19 +211,10 @@ impl Hierarchy {
             .map(|_| MshrFile::new(cfg.llc_bank.mshrs.max(2) as usize))
             .collect();
         let mut bus = AccountingBus::new(FaultInjector::new(cfg.faults.as_ref()));
-        // Observability and supervision taps are diagnostic-only:
-        // simulation observables never read them, so attaching one
-        // cannot perturb timing. The full observer (armed via
-        // `tako_sim::trace::arm`) subsumes the supervision ring — it
-        // carries its own stamped event tail — so it wins when both are
-        // armed.
+        // The observer is diagnostic-only: simulation observables never
+        // read it, so attaching one cannot perturb timing.
         if tako_sim::trace::armed() {
-            bus.tap = SinkTap::Observer(Box::default());
-        } else if tako_sim::supervise::armed() {
-            // Under campaign supervision, keep a ring of recent pipeline
-            // events so a deadline kill or panic can show what the
-            // machine was doing.
-            bus.tap = SinkTap::Trace(Box::default());
+            bus.observer = Some(Box::default());
         }
         Hierarchy {
             bus,
@@ -443,7 +434,7 @@ impl Hierarchy {
             start,
             result.completion
         );
-        if let Some(obs) = self.bus.observer_mut() {
+        if let Some(obs) = &mut self.bus.observer {
             obs.record_callback(completion.saturating_sub(start));
         }
         completion
@@ -464,7 +455,7 @@ impl Drop for Hierarchy {
     /// trace collector so `tako_sim::trace::drain` sees every system
     /// that ran while tracing was armed.
     fn drop(&mut self) {
-        if let Some(obs) = self.bus.take_observer() {
+        if let Some(obs) = self.bus.observer.take() {
             tako_sim::trace::collect(*obs);
         }
     }
@@ -477,10 +468,9 @@ impl Snapshot for Hierarchy {
     /// zero. Structure (tile count, geometries, capacities) is rebuilt
     /// from config by [`Hierarchy::new`] and *verified* by each
     /// component's `load`, never restored, so resuming into a mismatched
-    /// config fails loudly. The supervision trace tap is diagnostic-only
-    /// and re-armed by the driver rather than serialized; an attached
-    /// observability observer *is* serialized (v2) so traces, interval
-    /// metrics, and stage profiles survive checkpoint/resume.
+    /// config fails loudly. The observer, like the stage scheduler, is
+    /// host-side state: it is not serialized, and a restore leaves
+    /// whatever observer is attached alone.
     fn save(&self, w: &mut SnapWriter) {
         w.section("hierarchy");
         self.bus.stats.save(w);
@@ -535,13 +525,6 @@ impl Snapshot for Hierarchy {
         }
         self.watchdog.save(w);
         w.put_bool(self.ckpt_due);
-        match self.bus.observer() {
-            Some(obs) => {
-                w.put_bool(true);
-                obs.save(w);
-            }
-            None => w.put_bool(false),
-        }
     }
 
     fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
@@ -615,17 +598,6 @@ impl Snapshot for Hierarchy {
         }
         self.watchdog.load(r)?;
         self.ckpt_due = r.get_bool()?;
-        if r.get_bool()? {
-            // Restore the observer into the tap, attaching one if the
-            // resuming process didn't arm tracing itself.
-            let mut obs = self.bus.take_observer().unwrap_or_default();
-            obs.load(r)?;
-            self.bus.tap = SinkTap::Observer(obs);
-        } else {
-            // The snapshot ran untraced; drop any locally armed
-            // observer so resumed accounting matches the original run.
-            self.bus.take_observer();
-        }
         Ok(())
     }
 }

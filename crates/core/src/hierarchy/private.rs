@@ -11,7 +11,7 @@ use tako_cache::array::InsertKind;
 use tako_cpu::AccessKind;
 use tako_mem::addr::{is_phantom, line_of, Addr};
 use tako_sim::energy::EnergyModel;
-use tako_sim::event::{LevelId, SinkTap, TxnEvent, TxnSink};
+use tako_sim::event::{LevelId, TxnEvent, TxnSink};
 use tako_sim::{Cycle, TileId};
 
 use super::coherence::PrivateScope;
@@ -25,14 +25,14 @@ impl Hierarchy {
     /// Morph interposition, observed by the watchdog. Returns the
     /// completion cycle.
     pub fn core_access(&mut self, tile: TileId, kind: AccessKind, addr: Addr, t: Cycle) -> Cycle {
-        // Hot-walk gate: with no tap attached, the observe/stamp
+        // Hot-walk gate: with no observer attached, the observe/stamp
         // superstructure around the walk only feeds counters, so the
-        // tap discriminant is tested once per access here — not per
+        // observer slot is tested once per access here — not per
         // emit — and an L1d hit (the overwhelming majority of
         // accesses) completes on a lean path that mints no MemTxn.
         // Anything else falls through to the full staged walk. The
         // watchdog (on by default) observes both paths identically.
-        let done = if matches!(self.bus.tap, SinkTap::None) {
+        let done = if self.bus.observer.is_none() {
             match self.hot_l1_hit(tile, kind, addr, t) {
                 Some(done) => done,
                 None => self.core_access_inner(tile, kind, addr, t),
@@ -114,16 +114,13 @@ impl Hierarchy {
         // Observability interval sampling rides the same quiescent
         // point: close the epoch's interval with counter deltas plus the
         // energy and DRAM-backlog gauges. Disjoint field borrows: the
-        // observer lives in `bus.tap`, the counters in `bus.stats`.
-        if self.bus.observer().is_some() {
+        // observer lives in `bus.observer`, the counters in `bus.stats`.
+        if let Some(obs) = &mut self.bus.observer {
             let epoch = self.watchdog.epochs_run();
             let backlog = self.dram.backlog(now);
             let energy = EnergyModel::default_params()
                 .tally(&self.bus.stats)
                 .total_pj();
-            let tako_sim::event::SinkTap::Observer(obs) = &mut self.bus.tap else {
-                unreachable!()
-            };
             obs.sample_epoch(epoch, now, &self.bus.stats, energy, backlog);
         }
         // Checkpoint cadence piggybacks on the epoch sweep: the epoch
@@ -140,16 +137,15 @@ impl Hierarchy {
         // cadence so an arbitrarily stalled walk still gets killed at
         // the next completed access. The panic payload is the triage
         // bundle; the campaign runner catches it and journals it.
-        if tako_sim::supervise::armed() {
-            if let Some((budget, elapsed)) = tako_sim::supervise::deadline_exceeded() {
-                panic!("{}", self.deadline_triage(now, budget, elapsed));
-            }
+        if let Some((budget, elapsed)) = tako_sim::supervise::deadline_exceeded() {
+            panic!("{}", self.deadline_triage(now, budget, elapsed));
         }
     }
 
     /// The crash-triage bundle for a deadline kill: where the machine
-    /// was, what it was doing (event-trace tail), how far the fault plan
-    /// had advanced, and the last checkpoint to resume from.
+    /// was, how far the fault plan had advanced, the last checkpoint to
+    /// resume from, and — when tracing is armed — what it was doing
+    /// (the observer's timed event tail).
     fn deadline_triage(
         &self,
         now: Cycle,
@@ -171,10 +167,7 @@ impl Hierarchy {
             .unwrap_or_else(|| self.diagnostic_snapshot(now, 0, None));
         let _ = writeln!(s, "machine state: {snap:?}");
         let _ = writeln!(s, "fault plan: {}", self.bus.faults.cursor());
-        if let Some(trace) = self.bus.trace() {
-            let _ = writeln!(s, "event tail: {}", trace.render());
-        }
-        if let Some(obs) = self.bus.observer() {
+        if let Some(obs) = &self.bus.observer {
             let _ = writeln!(s, "event tail: {}", obs.ring.render());
         }
         match tako_sim::supervise::last_checkpoint() {
@@ -224,21 +217,21 @@ impl Hierarchy {
         }
     }
 
-    /// Retire `txn`, first feeding its observational stage stamps to an
-    /// attached observer (stage profile + miss latency). A no-op wrapper
-    /// around [`MemTxn::retire`] when tracing is off.
+    /// Retire `txn` at `done`, first feeding its observational stage
+    /// stamps to an attached observer (stage profile + miss latency).
+    /// Returns `done`; a no-op when tracing is off.
     fn retire_profiled(&mut self, txn: MemTxn, done: Cycle) -> Cycle {
-        if let Some(obs) = self.bus.observer_mut() {
+        if let Some(obs) = &mut self.bus.observer {
             let s = &txn.stamps;
             obs.record_txn(txn.issued, s.l1, s.l2, s.llc, s.fill, done);
         }
-        txn.retire(done)
+        done
     }
 
     /// The lean L1d-hit walk taken behind the hot-walk gate: same
     /// timing, promotion, and accounting as the full walk's hit arm,
     /// minus the transaction stamps and observer hooks that are inert
-    /// without a tap. Returns `None` — having changed nothing and
+    /// without an observer. Returns `None` — having changed nothing and
     /// emitted nothing — for misses and for the kinds with their own
     /// front-end (RMO, write-streams), which re-enter the full walk.
     #[inline]

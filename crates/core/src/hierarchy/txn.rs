@@ -7,17 +7,16 @@
 //! only: stages compute timing from their own arguments, so recording a
 //! stamp can never perturb the walk (the golden-output test pins this).
 //!
-//! [`LevelPort`] is the uniform face a level presents to a stage: the
-//! three tag-array levels via [`CachePort`] and the memory controllers
-//! via [`DramEdge`]. Ports charge their own hit/miss (or DRAM-transfer)
-//! accounting on the [`AccountingBus`], so a stage cannot forget to
-//! count an access, and the `no_alloc` suite can pin the whole
-//! port-plus-bus hot path as allocation-free.
+//! [`CachePort`] is the face a tag-array level (an L1d, an L2, or an
+//! LLC bank) presents to a stage. The port charges its own hit/miss
+//! accounting on the [`AccountingBus`] — as `Dram::read_line` charges
+//! each line transfer — so a stage cannot forget to count an access,
+//! and the `no_alloc` suite can pin the whole port + DRAM + bus hot
+//! path as allocation-free.
 
 use tako_cache::array::{CacheArray, EntryMut, EntryRef, InsertKind};
 use tako_cpu::AccessKind;
 use tako_mem::addr::Addr;
-use tako_mem::dram::Dram;
 use tako_sim::event::{AccountingBus, LevelId, TxnEvent, TxnSink};
 use tako_sim::{Cycle, TileId};
 
@@ -80,8 +79,6 @@ pub struct StageStamps {
     pub llc: Option<Cycle>,
     /// Completion of the below-LLC resolve (DRAM and/or `onMiss`).
     pub fill: Option<Cycle>,
-    /// The cycle the whole transaction completed.
-    pub completed: Option<Cycle>,
 }
 
 /// One memory transaction walking the hierarchy.
@@ -160,38 +157,10 @@ impl MemTxn {
     pub fn is_write(&self) -> bool {
         self.kind.is_write()
     }
-
-    /// Stamp the transaction complete at `done` and hand the completion
-    /// cycle back — the standard tail of every walk. Consumes the
-    /// transaction: a retired `MemTxn` cannot re-enter a stage.
-    #[inline]
-    pub fn retire(mut self, done: Cycle) -> Cycle {
-        self.stamps.completed = Some(done);
-        self.stamps.completed.unwrap_or(done)
-    }
 }
 
-/// The uniform face a level of the memory system presents to a stage.
-///
-/// [`serve`](LevelPort::serve) is the *streaming* read shape — a
-/// non-promoting presence check plus the level's service latency — used
-/// by paths that must not disturb replacement state (non-temporal scans,
-/// the engine's NT loads). Demand paths need richer access (promote on
-/// hit, mutate dirty/sharer bits), so they use [`CachePort`]'s inherent
-/// `lookup_counted`/`probe_counted`; either way the port, not the
-/// stage, charges the level's hit/miss accounting.
-pub trait LevelPort {
-    /// The event tag for this level, or `None` for the DRAM edge (whose
-    /// traffic is charged per line transfer, not per tag access).
-    fn level_id(&self) -> Option<LevelId>;
-
-    /// The cycle `line`'s data can be consumed from this level for a
-    /// request arriving at `t`, or `None` if this level cannot supply
-    /// it (after charging the miss). The DRAM edge serves everything.
-    fn serve(&mut self, line: Addr, t: Cycle, bus: &mut AccountingBus) -> Option<Cycle>;
-}
-
-/// A [`LevelPort`] over one tag array (an L1d, an L2, or an LLC bank).
+/// A port over one tag array (an L1d, an L2, or an LLC bank) that
+/// charges the level's hit/miss accounting for the stage.
 pub struct CachePort<'a> {
     array: &'a mut CacheArray,
     level: LevelId,
@@ -239,41 +208,16 @@ impl<'a> CachePort<'a> {
             }
         }
     }
-}
 
-impl LevelPort for CachePort<'_> {
-    fn level_id(&self) -> Option<LevelId> {
-        Some(self.level)
-    }
-
-    fn serve(&mut self, line: Addr, t: Cycle, bus: &mut AccountingBus) -> Option<Cycle> {
+    /// The *streaming* read shape: a non-promoting presence check plus
+    /// the level's service latency, for paths that must not disturb
+    /// replacement state (non-temporal scans). Returns the cycle
+    /// `line`'s data can be consumed for a request arriving at `t`, or
+    /// `None` on a miss (after charging it).
+    pub fn serve(&mut self, line: Addr, t: Cycle, bus: &mut AccountingBus) -> Option<Cycle> {
         let data_latency = self.array.config().data_latency;
         self.probe_counted(line, bus)
             .map(|e| t.max(e.ready_at()) + data_latency)
-    }
-}
-
-/// The [`LevelPort`] at the bottom of the hierarchy: the DRAM
-/// controllers. Always serves; charges a [`TxnEvent::DramRead`] per
-/// line pulled.
-pub struct DramEdge<'a> {
-    dram: &'a mut Dram,
-}
-
-impl<'a> DramEdge<'a> {
-    /// A port over the memory controllers.
-    pub fn new(dram: &'a mut Dram) -> Self {
-        DramEdge { dram }
-    }
-}
-
-impl LevelPort for DramEdge<'_> {
-    fn level_id(&self) -> Option<LevelId> {
-        None
-    }
-
-    fn serve(&mut self, line: Addr, t: Cycle, bus: &mut AccountingBus) -> Option<Cycle> {
-        Some(self.dram.read_line(line, t, bus))
     }
 }
 
@@ -312,18 +256,5 @@ mod tests {
         assert_eq!(bus.stats.get(Counter::L1dHit), 1);
         assert!(port.lookup_counted(0, &mut bus).is_some());
         assert_eq!(bus.stats.get(Counter::L1dHit), 2);
-        assert_eq!(port.level_id(), Some(LevelId::L1d));
-    }
-
-    #[test]
-    fn dram_edge_always_serves() {
-        let cfg = SystemConfig::default_16core();
-        let mut dram = Dram::new(cfg.mem);
-        let mut bus = AccountingBus::new(FaultInjector::new(None));
-        let mut edge = DramEdge::new(&mut dram);
-        assert_eq!(edge.level_id(), None);
-        let done = edge.serve(0, 0, &mut bus).expect("dram serves all");
-        assert_eq!(done, cfg.mem.latency);
-        assert_eq!(bus.stats.get(Counter::DramRead), 1);
     }
 }

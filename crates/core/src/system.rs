@@ -308,9 +308,9 @@ impl TakoSystem {
 
     /// The observability observer attached to the accounting bus, when
     /// tracing was armed (`tako_sim::trace::arm`) before this system was
-    /// built or a traced snapshot was restored. `None` otherwise.
+    /// built. `None` otherwise.
     pub fn observer(&self) -> Option<&tako_sim::trace::Observer> {
-        self.hier.bus.observer()
+        self.hier.bus.observer.as_deref()
     }
 
     // ------------------------------------------------------------------

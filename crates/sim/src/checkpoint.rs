@@ -61,7 +61,10 @@ pub const SNAP_MAGIC: [u8; 8] = *b"TAKOSNP\0";
 /// old per-line record stream.
 /// Version 4: the watchdog diagnostic snapshot gained the blocked
 /// line and its LLC `(bank, set)` location.
-pub const SNAP_VERSION: u32 = 4;
+/// Version 5: the hierarchy section no longer carries the observer (or
+/// its presence flag); observability state is host-side and is not
+/// checkpointed.
+pub const SNAP_VERSION: u32 = 5;
 
 /// Errors surfaced while decoding a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -664,6 +667,13 @@ mod tests {
             payload(&env).unwrap_err(),
             SnapError::BadVersion { found: _ }
         ));
+        // The previous layout (v4, which carried the observer) is refused.
+        let mut env = encode(&blob());
+        env[8..12].copy_from_slice(&4u32.to_le_bytes());
+        assert_eq!(
+            payload(&env).unwrap_err(),
+            SnapError::BadVersion { found: 4 }
+        );
     }
 
     #[test]

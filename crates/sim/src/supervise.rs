@@ -4,12 +4,14 @@
 //! worker thread behind a panic guard. This module is the thin,
 //! thread-local channel between that runner and the simulation stack:
 //!
-//! * the runner **arms** a wall-clock deadline (and a supervision mark)
-//!   before invoking the harness and disarms it after;
+//! * the runner **arms** an optional wall-clock deadline before
+//!   invoking the harness and disarms it after;
 //! * the hierarchy **probes** the deadline from its watchdog-epoch path
 //!   — the same cadence the invariant sweeps run at — so a runaway or
 //!   stalled simulation is killed at a point where a structured
-//!   diagnostic can still be produced;
+//!   diagnostic can still be produced. Arming changes nothing else: a
+//!   supervised hierarchy is built and walked exactly like an
+//!   unsupervised one;
 //! * components **note** triage context (the last checkpoint id, the
 //!   campaign unit cursor) that the runner folds into the triage bundle
 //!   when a harness dies.
@@ -25,30 +27,20 @@ use std::cell::{Cell, RefCell};
 use std::time::{Duration, Instant};
 
 thread_local! {
-    static ARMED: Cell<bool> = const { Cell::new(false) };
     static DEADLINE: Cell<Option<(Instant, Duration)>> = const { Cell::new(None) };
     static LAST_CHECKPOINT: RefCell<Option<String>> = const { RefCell::new(None) };
 }
 
 /// Arm supervision on this thread with an optional wall-clock deadline.
-/// Newly built hierarchies on this thread attach an event-trace tap for
-/// triage while armed.
 pub fn arm(deadline: Option<Duration>) {
-    ARMED.with(|a| a.set(true));
     DEADLINE.with(|d| d.set(deadline.map(|t| (Instant::now(), t))));
     LAST_CHECKPOINT.with(|c| c.borrow_mut().take());
 }
 
 /// Disarm supervision on this thread.
 pub fn disarm() {
-    ARMED.with(|a| a.set(false));
     DEADLINE.with(|d| d.set(None));
     LAST_CHECKPOINT.with(|c| c.borrow_mut().take());
-}
-
-/// Whether supervision is armed on this thread.
-pub fn armed() -> bool {
-    ARMED.with(|a| a.get())
 }
 
 /// If the armed deadline has expired, the configured budget and the
@@ -78,14 +70,11 @@ mod tests {
 
     #[test]
     fn arm_disarm_cycle() {
-        assert!(!armed());
         arm(None);
-        assert!(armed());
         assert!(deadline_exceeded().is_none(), "no deadline configured");
         note_checkpoint("abc123");
         assert_eq!(last_checkpoint().as_deref(), Some("abc123"));
         disarm();
-        assert!(!armed());
         assert!(last_checkpoint().is_none());
     }
 
@@ -107,8 +96,10 @@ mod tests {
 
     #[test]
     fn state_is_thread_local() {
-        arm(None);
-        std::thread::spawn(|| assert!(!armed()))
+        arm(Some(Duration::ZERO));
+        std::thread::sleep(Duration::from_millis(1));
+        assert!(deadline_exceeded().is_some());
+        std::thread::spawn(|| assert!(deadline_exceeded().is_none()))
             .join()
             .expect("spawned probe thread");
         disarm();

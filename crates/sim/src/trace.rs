@@ -18,7 +18,7 @@
 //! ```text
 //!   pipeline ──TxnEvent──▶ AccountingBus ──▶ Stats
 //!                                │
-//!                         SinkTap::Observer ──▶ TraceRing   (events)
+//!                      bus.observer ──▶ TraceRing   (events)
 //!                                │          ├─▶ MetricsRecorder (epochs)
 //!                                │          └─▶ StageProfile    (spans)
 //!                                ▼ drop/flush
@@ -31,20 +31,22 @@
 //! # Zero overhead when off
 //!
 //! Nothing here runs unless [`arm`] has been called: the hierarchy only
-//! attaches a [`SinkTap::Observer`] when [`armed`] is true, so the
-//! disarmed hot path pays exactly what it paid before this module
-//! existed — one `SinkTap` discriminant test per event (pinned by the
+//! attaches an [`Observer`] (the bus's one optional subscriber) when
+//! [`armed`] is true, so the disarmed hot path pays one `is_some` test
+//! per event and takes the hierarchy's lean L1-hit walk (pinned by the
 //! `no_alloc` test suite, and by the golden-digest differential test
 //! which proves tracing is strictly observational).
+//!
+//! The observer is host-side state, like the stage scheduler: machine
+//! snapshots do not carry it, and restoring one leaves the attached
+//! observer as it was.
 //!
 //! When armed, recording stays allocation-free: every structure below
 //! preallocates at construction and records by overwriting fixed slots.
 //!
 //! [`TxnEvent`]: crate::event::TxnEvent
-//! [`SinkTap::Observer`]: crate::event::SinkTap
 
-use crate::checkpoint::{SnapError, SnapReader, SnapWriter, Snapshot};
-use crate::event::{CbPhase, LevelId, TxnEvent, TxnSink};
+use crate::event::{LevelId, TxnEvent, TxnSink};
 use crate::stats::{Counter, LatencyHistogram, Stats};
 use crate::Cycle;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -312,34 +314,9 @@ impl StageProfile {
     }
 }
 
-impl Snapshot for StageProfile {
-    fn save(&self, w: &mut SnapWriter) {
-        for v in self.visits {
-            w.put_u64(v);
-        }
-        for c in self.cycles {
-            w.put_u64(c);
-        }
-        w.put_u64(self.txns);
-        w.put_u64(self.txn_cycles);
-    }
-
-    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        for v in &mut self.visits {
-            *v = r.get_u64()?;
-        }
-        for c in &mut self.cycles {
-            *c = r.get_u64()?;
-        }
-        self.txns = r.get_u64()?;
-        self.txn_cycles = r.get_u64()?;
-        Ok(())
-    }
-}
-
 /// Time the hierarchy-stage expression `$body` and attribute its
 /// `start..done` window to `$stage` on `$bus` (a no-op unless an
-/// observer tap is attached). `$body` must evaluate to the completion
+/// observer is attached). `$body` must evaluate to the completion
 /// cycle; the macro returns it unchanged.
 ///
 /// ```
@@ -456,54 +433,6 @@ impl IntervalSample {
         } else {
             self.cb_cycles as f64 / self.cycles as f64
         }
-    }
-
-    fn save_fields(&self, w: &mut SnapWriter) {
-        w.put_u32(self.sys);
-        w.put_u64(self.epoch);
-        w.put_u64(self.at_cycle);
-        w.put_u64(self.cycles);
-        w.put_u64(self.l1d_hits);
-        w.put_u64(self.l1d_misses);
-        w.put_u64(self.l2_hits);
-        w.put_u64(self.l2_misses);
-        w.put_u64(self.llc_hits);
-        w.put_u64(self.llc_misses);
-        w.put_u64(self.dram_reads);
-        w.put_u64(self.dram_writes);
-        w.put_u64(self.noc_flit_hops);
-        w.put_u64(self.mshr_stalls);
-        w.put_u64(self.callbacks);
-        w.put_u64(self.cb_cycles);
-        w.put_u64(self.engine_instrs);
-        w.put_u64(self.instrs);
-        w.put_f64(self.energy_pj);
-        w.put_u64(self.dram_backlog);
-    }
-
-    fn load_fields(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(IntervalSample {
-            sys: r.get_u32()?,
-            epoch: r.get_u64()?,
-            at_cycle: r.get_u64()?,
-            cycles: r.get_u64()?,
-            l1d_hits: r.get_u64()?,
-            l1d_misses: r.get_u64()?,
-            l2_hits: r.get_u64()?,
-            l2_misses: r.get_u64()?,
-            llc_hits: r.get_u64()?,
-            llc_misses: r.get_u64()?,
-            dram_reads: r.get_u64()?,
-            dram_writes: r.get_u64()?,
-            noc_flit_hops: r.get_u64()?,
-            mshr_stalls: r.get_u64()?,
-            callbacks: r.get_u64()?,
-            cb_cycles: r.get_u64()?,
-            engine_instrs: r.get_u64()?,
-            instrs: r.get_u64()?,
-            energy_pj: r.get_f64()?,
-            dram_backlog: r.get_u64()?,
-        })
     }
 }
 
@@ -623,70 +552,8 @@ impl MetricsRecorder {
     }
 }
 
-/// Sanity-bound a container capacity read from a snapshot before
-/// allocating it. A bit flip in a length field would otherwise turn
-/// into a multi-gigabyte `vec![None; cap]` — an OOM abort, which no
-/// checksum downstream can catch. Real ring/sample capacities are
-/// config-set and tiny; anything past this bound is corruption.
-fn bounded_capacity(what: &str, cap: usize) -> Result<usize, SnapError> {
-    const MAX_SNAPSHOT_CAPACITY: usize = 1 << 22;
-    if cap > MAX_SNAPSHOT_CAPACITY {
-        return Err(SnapError::StateMismatch(format!(
-            "{what}: capacity {cap} exceeds the {MAX_SNAPSHOT_CAPACITY} sanity bound \
-             (corrupt length field)"
-        )));
-    }
-    Ok(cap)
-}
-
-impl Snapshot for MetricsRecorder {
-    fn save(&self, w: &mut SnapWriter) {
-        w.section("metrics");
-        w.put_len(Counter::COUNT);
-        for v in self.prev {
-            w.put_u64(v);
-        }
-        w.put_f64(self.prev_energy_pj);
-        w.put_u64(self.prev_cb_cycles);
-        w.put_u64(self.prev_cycle);
-        w.put_u64(self.total_samples);
-        w.put_len(self.samples.len());
-        for slot in self.samples.iter() {
-            w.put_bool(slot.is_some());
-            if let Some(s) = slot {
-                s.save_fields(w);
-            }
-        }
-        self.miss_latency.save(w);
-        self.callback_latency.save(w);
-    }
-
-    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.section("metrics")?;
-        r.get_len_expect("metrics.prev", Counter::COUNT)?;
-        for v in &mut self.prev {
-            *v = r.get_u64()?;
-        }
-        self.prev_energy_pj = r.get_f64()?;
-        self.prev_cb_cycles = r.get_u64()?;
-        self.prev_cycle = r.get_u64()?;
-        self.total_samples = r.get_u64()?;
-        let cap = bounded_capacity("metrics.samples", r.get_len()?)?;
-        let mut samples = vec![None; cap.max(1)].into_boxed_slice();
-        for slot in samples.iter_mut() {
-            if r.get_bool()? {
-                *slot = Some(IntervalSample::load_fields(r)?);
-            }
-        }
-        self.samples = samples;
-        self.miss_latency.load(r)?;
-        self.callback_latency.load(r)?;
-        Ok(())
-    }
-}
-
 // ----------------------------------------------------------------------
-// Observer: the SinkTap-attached recorder
+// Observer: the bus-attached recorder
 // ----------------------------------------------------------------------
 
 /// The bus-attached observability recorder: an event [`TraceRing`], a
@@ -798,174 +665,14 @@ impl TxnSink for Observer {
     }
 }
 
-fn save_event(ev: TxnEvent, w: &mut SnapWriter) {
-    let level = |l: LevelId| match l {
-        LevelId::L1d => 0u8,
-        LevelId::L2 => 1,
-        LevelId::Llc => 2,
-    };
-    let phase = |p: CbPhase| match p {
-        CbPhase::OnMiss => 0u8,
-        CbPhase::OnEviction => 1,
-        CbPhase::OnWriteback => 2,
-    };
-    match ev {
-        TxnEvent::Hit(l) => {
-            w.put_u8(0);
-            w.put_u8(level(l));
-        }
-        TxnEvent::Miss(l) => {
-            w.put_u8(1);
-            w.put_u8(level(l));
-        }
-        TxnEvent::Eviction(l) => {
-            w.put_u8(2);
-            w.put_u8(level(l));
-        }
-        TxnEvent::Writeback(l) => {
-            w.put_u8(3);
-            w.put_u8(level(l));
-        }
-        TxnEvent::CoherenceInval => w.put_u8(4),
-        TxnEvent::PrefetchIssued => w.put_u8(5),
-        TxnEvent::PrefetchUseful => w.put_u8(6),
-        TxnEvent::NocHops { flits, hops } => {
-            w.put_u8(7);
-            w.put_u64(flits);
-            w.put_u64(hops);
-        }
-        TxnEvent::DramRead => w.put_u8(8),
-        TxnEvent::DramWrite => w.put_u8(9),
-        TxnEvent::MshrStall => w.put_u8(10),
-        TxnEvent::FlushedLine => w.put_u8(11),
-        TxnEvent::FaultInjected => w.put_u8(12),
-        TxnEvent::CallbackRun(p) => {
-            w.put_u8(13);
-            w.put_u8(phase(p));
-        }
-        TxnEvent::CallbackDegraded => w.put_u8(14),
-        TxnEvent::MorphQuarantined => w.put_u8(15),
-        TxnEvent::EngineWork { instrs, mem_ops } => {
-            w.put_u8(16);
-            w.put_u64(instrs);
-            w.put_u64(mem_ops);
-        }
-        TxnEvent::StallDetected { latency } => {
-            w.put_u8(17);
-            w.put_u64(latency);
-        }
-        TxnEvent::InvariantViolations(n) => {
-            w.put_u8(18);
-            w.put_u64(n);
-        }
-    }
-}
-
-fn load_event(r: &mut SnapReader<'_>) -> Result<TxnEvent, SnapError> {
-    let level = |b: u8| match b {
-        0 => Ok(LevelId::L1d),
-        1 => Ok(LevelId::L2),
-        2 => Ok(LevelId::Llc),
-        _ => Err(SnapError::StateMismatch(format!("bad level tag {b}"))),
-    };
-    let phase = |b: u8| match b {
-        0 => Ok(CbPhase::OnMiss),
-        1 => Ok(CbPhase::OnEviction),
-        2 => Ok(CbPhase::OnWriteback),
-        _ => Err(SnapError::StateMismatch(format!("bad phase tag {b}"))),
-    };
-    Ok(match r.get_u8()? {
-        0 => TxnEvent::Hit(level(r.get_u8()?)?),
-        1 => TxnEvent::Miss(level(r.get_u8()?)?),
-        2 => TxnEvent::Eviction(level(r.get_u8()?)?),
-        3 => TxnEvent::Writeback(level(r.get_u8()?)?),
-        4 => TxnEvent::CoherenceInval,
-        5 => TxnEvent::PrefetchIssued,
-        6 => TxnEvent::PrefetchUseful,
-        7 => TxnEvent::NocHops {
-            flits: r.get_u64()?,
-            hops: r.get_u64()?,
-        },
-        8 => TxnEvent::DramRead,
-        9 => TxnEvent::DramWrite,
-        10 => TxnEvent::MshrStall,
-        11 => TxnEvent::FlushedLine,
-        12 => TxnEvent::FaultInjected,
-        13 => TxnEvent::CallbackRun(phase(r.get_u8()?)?),
-        14 => TxnEvent::CallbackDegraded,
-        15 => TxnEvent::MorphQuarantined,
-        16 => TxnEvent::EngineWork {
-            instrs: r.get_u64()?,
-            mem_ops: r.get_u64()?,
-        },
-        17 => TxnEvent::StallDetected {
-            latency: r.get_u64()?,
-        },
-        18 => TxnEvent::InvariantViolations(r.get_u64()?),
-        b => {
-            return Err(SnapError::StateMismatch(format!("bad event tag {b}")));
-        }
-    })
-}
-
-impl Snapshot for Observer {
-    fn save(&self, w: &mut SnapWriter) {
-        w.section("observer");
-        w.put_len(self.ring.slots.len());
-        for slot in self.ring.slots.iter() {
-            w.put_bool(slot.is_some());
-            if let Some(rec) = slot {
-                w.put_u64(rec.seq);
-                w.put_u64(rec.cycle);
-                w.put_u32(rec.tile);
-                w.put_u32(rec.sys);
-                save_event(rec.event, w);
-            }
-        }
-        w.put_u64(self.ring.total);
-        self.metrics.save(w);
-        self.profile.save(w);
-        w.put_u64(self.cursor_cycle);
-        w.put_u32(self.cursor_tile);
-        w.put_u64(self.seq);
-    }
-
-    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.section("observer")?;
-        let cap = bounded_capacity("observer.ring", r.get_len()?)?;
-        let mut slots = vec![None; cap.max(1)].into_boxed_slice();
-        for slot in slots.iter_mut() {
-            if r.get_bool()? {
-                *slot = Some(TraceRecord {
-                    seq: r.get_u64()?,
-                    cycle: r.get_u64()?,
-                    tile: r.get_u32()?,
-                    sys: r.get_u32()?,
-                    event: load_event(r)?,
-                });
-            }
-        }
-        self.ring.slots = slots;
-        self.ring.total = r.get_u64()?;
-        self.metrics.load(r)?;
-        self.profile.load(r)?;
-        self.cursor_cycle = r.get_u64()?;
-        self.cursor_tile = r.get_u32()?;
-        self.seq = r.get_u64()?;
-        Ok(())
-    }
-}
-
 // ----------------------------------------------------------------------
 // Process-wide arming and collection
 // ----------------------------------------------------------------------
 
 /// Process-global arming flag: when set, every newly constructed
-/// hierarchy attaches a [`SinkTap::Observer`] and flushes it into the
+/// hierarchy attaches an [`Observer`] and flushes it into the
 /// collector on drop. Process-global (not thread-local) because
 /// experiments fan out across worker threads.
-///
-/// [`SinkTap::Observer`]: crate::event::SinkTap
 static ARMED: AtomicBool = AtomicBool::new(false);
 
 #[derive(Debug, Default)]
@@ -1224,7 +931,6 @@ impl TraceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::{decode, encode};
 
     /// Serializes tests that touch the process-global collector.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
@@ -1293,10 +999,10 @@ mod tests {
         use crate::event::AccountingBus;
         use crate::fault::FaultInjector;
         let mut bus = AccountingBus::new(FaultInjector::new(None));
-        bus.tap = crate::event::SinkTap::Observer(Box::default());
+        bus.observer = Some(Box::default());
         let done = crate::span!(bus, Stage::Callback, 100, 100 + 40);
         assert_eq!(done, 140);
-        let obs = bus.observer().unwrap();
+        let obs = bus.observer.as_deref().unwrap();
         assert_eq!(obs.profile.visits(Stage::Callback), 1);
         assert_eq!(obs.profile.cycles(Stage::Callback), 40);
     }
@@ -1327,63 +1033,6 @@ mod tests {
         assert_eq!(samples[1].cb_cycles, 75);
         assert!((samples[1].energy_pj - 30.0).abs() < 1e-9);
         assert_eq!(samples[1].llc_misses, 0);
-    }
-
-    #[test]
-    fn metrics_recorder_snapshot_roundtrip() {
-        let mut m = MetricsRecorder::with_capacity(4);
-        let mut stats = Stats::new();
-        for epoch in 0..6u64 {
-            stats.add(Counter::L1dHit, 11 + epoch);
-            stats.add(Counter::DramRead, epoch);
-            m.record_miss(100 << epoch);
-            m.record_callback(3 * (epoch + 1));
-            m.sample(epoch, (epoch + 1) * 1_000, &stats, epoch as f64, epoch);
-        }
-        let env = encode(&m);
-        let mut out = MetricsRecorder::with_capacity(4);
-        decode(&env, &mut out).unwrap();
-        assert_eq!(out.total_samples(), m.total_samples());
-        assert_eq!(
-            out.samples().collect::<Vec<_>>(),
-            m.samples().collect::<Vec<_>>()
-        );
-        assert_eq!(out.miss_latency, m.miss_latency);
-        assert_eq!(out.callback_latency, m.callback_latency);
-        // The restored recorder keeps diffing from where it left off.
-        stats.add(Counter::L1dHit, 5);
-        let mut a = m.clone();
-        a.sample(6, 10_000, &stats, 10.0, 0);
-        out.sample(6, 10_000, &stats, 10.0, 0);
-        assert_eq!(
-            a.samples().collect::<Vec<_>>(),
-            out.samples().collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn observer_snapshot_roundtrip() {
-        let mut obs = Observer::new();
-        obs.observe_at(500, 2);
-        obs.emit(TxnEvent::Hit(LevelId::Llc));
-        obs.emit(TxnEvent::NocHops { flits: 3, hops: 4 });
-        obs.emit(TxnEvent::CallbackRun(CbPhase::OnWriteback));
-        obs.record_span(Stage::Callback, 500, 600);
-        obs.record_txn(0, Some(0), Some(10), None, None, 90);
-        let stats = Stats::new();
-        obs.sample_epoch(0, 1_000, &stats, 0.0, 3);
-        let env = encode(&obs);
-        let mut out = Observer::new();
-        decode(&env, &mut out).unwrap();
-        assert_eq!(out.seq(), obs.seq());
-        assert_eq!(out.cursor_cycle(), 500);
-        assert_eq!(out.cursor_tile(), 2);
-        assert_eq!(
-            out.ring.tail().collect::<Vec<_>>(),
-            obs.ring.tail().collect::<Vec<_>>()
-        );
-        assert_eq!(out.profile, obs.profile);
-        assert_eq!(out.metrics.total_samples(), 1);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! an index — and the index-coverage assertion then forces it into
 //! [`all_variants`], the list actually driven through the bus.
 
-use tako_sim::event::{AccountingBus, CbPhase, LevelId, SinkTap, TxnEvent, TxnSink};
+use tako_sim::event::{AccountingBus, CbPhase, LevelId, TxnEvent, TxnSink};
 use tako_sim::fault::FaultInjector;
 use tako_sim::stats::Counter;
 use tako_sim::trace::Observer;
@@ -77,7 +77,7 @@ fn all_variants() -> [TxnEvent; VARIANT_COUNT] {
 
 fn observed_bus() -> AccountingBus {
     let mut bus = AccountingBus::new(FaultInjector::new(None));
-    bus.tap = SinkTap::Observer(Box::new(Observer::new()));
+    bus.observer = Some(Box::new(Observer::new()));
     bus
 }
 
@@ -106,7 +106,7 @@ fn every_variant_appears_exactly_once_with_ordered_stamps() {
         bus.observe_at(100 * i as u64, i);
         bus.emit(ev);
     }
-    let obs = bus.observer().expect("observer tap attached");
+    let obs = bus.observer.as_deref().expect("observer attached");
     let tail: Vec<_> = obs.ring.tail().collect();
     assert_eq!(tail.len(), VARIANT_COUNT, "one trace record per variant");
 
@@ -140,7 +140,7 @@ fn stale_cursor_updates_cannot_move_time_backwards() {
         bus.observe_at(cycle, i);
         bus.emit(ev);
     }
-    let obs = bus.observer().unwrap();
+    let obs = bus.observer.as_deref().unwrap();
     let stamps: Vec<u64> = obs.ring.tail().map(|r| r.cycle).collect();
     assert_eq!(stamps, vec![500, 500, 900, 900, 900, 1_000]);
     assert!(stamps.windows(2).all(|w| w[0] <= w[1]));
@@ -149,12 +149,12 @@ fn stale_cursor_updates_cannot_move_time_backwards() {
 #[test]
 fn ring_keeps_a_bounded_tail_and_counts_everything() {
     let mut bus = observed_bus();
-    let cap = bus.observer().unwrap().ring.capacity() as u64;
+    let cap = bus.observer.as_deref().unwrap().ring.capacity() as u64;
     for i in 0..cap + 7 {
         bus.observe_at(i, 0);
         bus.emit(TxnEvent::DramRead);
     }
-    let obs = bus.observer().unwrap();
+    let obs = bus.observer.as_deref().unwrap();
     assert_eq!(obs.ring.total(), cap + 7);
     let tail: Vec<_> = obs.ring.tail().collect();
     assert_eq!(tail.len(), cap as usize);

@@ -10,6 +10,12 @@ cargo fmt --all -- --check
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+# The benchmark package (simbench/) sits outside the workspace; build
+# it so a crate API change that breaks it fails here, not when the
+# benchmark next runs.
+echo "==> cargo build --release (simbench)"
+cargo build --release --manifest-path simbench/Cargo.toml
+
 echo "==> cargo test"
 cargo test --workspace -q
 
