@@ -29,8 +29,9 @@
 //! ```
 //!
 //! A probe of an 8-way set reads exactly one 64-byte host cache line of
-//! tags; a victim scan touches the tag line plus the 8-byte rrpv/flags
-//! slivers, instead of striding across eight 64-byte-padded structs.
+//! tags; victim selection then reads only the vector its policy needs
+//! (LRU stamps or RRPV bytes), instead of striding across eight
+//! 64-byte-padded structs.
 //! Validity is folded into the tag word: `TAG_INVALID` (`Addr::MAX`,
 //! never a line-aligned address) marks an empty way, so the hit scan is
 //! a single equality compare per way with no separate valid-bit load.
@@ -243,7 +244,8 @@ impl CacheArray {
         tags.iter().position(|&t| t == line).map(|w| base + w)
     }
 
-    /// Clear slot `i` back to the empty-way state.
+    /// Clear slot `i` back to the empty-way state. An empty way's flags
+    /// are always clear, so the Morph-bit scans treat it as plain.
     #[inline]
     fn clear_slot(&mut self, i: usize) {
         self.tags[i] = TAG_INVALID;
@@ -317,79 +319,85 @@ impl CacheArray {
         }
     }
 
-    /// Choose a victim way in `set` for inserting a line with
-    /// `inserting_morph`. Prefers invalid ways; otherwise follows the
-    /// replacement policy; under trrîp, refuses to evict the set's last
-    /// callback-free line when the incoming line has a Morph.
+    /// Choose a victim way in the set starting at slot `base` for
+    /// inserting a line with `inserting_morph`, given the set's first
+    /// invalid way (if any). Prefers that invalid way; otherwise follows
+    /// the replacement policy; under trrîp, refuses to evict the set's
+    /// last callback-free line when the incoming line has a Morph.
     ///
-    /// Runs as a single pass over the set that gathers every candidate
-    /// the policies need (first invalid way, LRU way, first max-RRPV
-    /// way, callback-free population, most-distant Morph line); only
-    /// RRIP aging revisits the set, and at most once.
-    fn victim(&mut self, set: usize, inserting_morph: bool) -> usize {
-        let repl = self.cfg.repl;
-        let base = set * self.ways;
-        let mut invalid = None;
-        let mut lru_way = 0usize;
-        let mut lru_min = u64::MAX;
-        let mut rrpv_way = 0usize;
-        let mut rrpv_max = 0u8;
-        let mut callback_free = 0usize;
-        let mut morph_way = None;
-        let mut morph_key = (0u8, 0u64);
-        for w in 0..self.ways {
-            let i = base + w;
-            if self.tags[i] == TAG_INVALID {
-                if invalid.is_none() {
-                    invalid = Some(w);
-                }
-                callback_free += 1;
-                continue;
-            }
-            if self.lru[i] < lru_min {
-                lru_min = self.lru[i];
-                lru_way = w;
-            }
-            if self.rrpv[i] > rrpv_max {
-                rrpv_max = self.rrpv[i];
-                rrpv_way = w;
-            }
-            if self.flags[i] & F_MORPH == 0 {
-                callback_free += 1;
-            } else {
-                let key = (self.rrpv[i], u64::MAX - self.lru[i]);
-                if morph_way.is_none() || key > morph_key {
-                    morph_way = Some(w);
-                    morph_key = key;
-                }
-            }
-        }
-        // trrîp deadlock avoidance (Sec 5.2): a Morph line may never
-        // consume the set's last callback-free way (invalid or plain).
-        if repl == ReplPolicy::Trrip && inserting_morph && callback_free <= 1 {
-            if let Some(w) = morph_way {
+    /// Each policy reads only the field vector it needs: LRU the stamps,
+    /// (t)rrîp the RRPV bytes. Only Morph inserts under trrîp pay for the
+    /// deadlock-avoidance scan of flags, RRPVs and stamps together.
+    #[inline]
+    fn victim(&mut self, base: usize, invalid: Option<usize>, inserting_morph: bool) -> usize {
+        let end = base + self.ways;
+        if inserting_morph && self.cfg.repl == ReplPolicy::Trrip {
+            if let Some(w) = self.morph_victim(base, end) {
                 return w;
             }
         }
         if let Some(w) = invalid {
             return w;
         }
-        match repl {
-            ReplPolicy::Lru => lru_way,
-            ReplPolicy::Rrip | ReplPolicy::Trrip => {
-                // SRRIP aging, batched: instead of repeated +1 sweeps
-                // until some line reaches RRPV_MAX, add the deficit once.
-                // (Only reached when every way is valid, so the sweep
-                // touches live rrpv bytes only.)
-                let age = RRPV_MAX - rrpv_max;
-                if age > 0 {
-                    for r in &mut self.rrpv[base..base + self.ways] {
-                        *r += age;
+        match self.cfg.repl {
+            ReplPolicy::Lru => {
+                // First minimum stamp (every way is valid here).
+                let lru = &self.lru[base..end];
+                let mut way = 0;
+                for (w, &s) in lru.iter().enumerate().skip(1) {
+                    if s < lru[way] {
+                        way = w;
                     }
                 }
-                rrpv_way
+                way
+            }
+            ReplPolicy::Rrip | ReplPolicy::Trrip => {
+                let rrpv = &mut self.rrpv[base..end];
+                if let Some(w) = rrpv.iter().position(|&r| r == RRPV_MAX) {
+                    return w;
+                }
+                // SRRIP aging, batched: instead of repeated +1 sweeps
+                // until some line reaches RRPV_MAX, add the deficit of
+                // the first maximum once; that way is the victim.
+                let mut way = 0;
+                for (w, &r) in rrpv.iter().enumerate().skip(1) {
+                    if r > rrpv[way] {
+                        way = w;
+                    }
+                }
+                let age = RRPV_MAX - rrpv[way];
+                for r in rrpv.iter_mut() {
+                    *r += age;
+                }
+                way
             }
         }
+    }
+
+    /// trrîp deadlock avoidance (Sec 5.2): a Morph line may never consume
+    /// the set's last callback-free way (invalid or plain; both have no
+    /// Morph bit). When the set has at most one such way, returns the
+    /// most distant Morph line (highest RRPV, then oldest stamp, first
+    /// on ties), if any.
+    fn morph_victim(&self, base: usize, end: usize) -> Option<usize> {
+        let mut callback_free = 0usize;
+        let mut morph_way = None;
+        let mut morph_key = (0u8, 0u64);
+        for i in base..end {
+            if self.flags[i] & F_MORPH == 0 {
+                callback_free += 1;
+                if callback_free > 1 {
+                    return None;
+                }
+                continue;
+            }
+            let key = (self.rrpv[i], u64::MAX - self.lru[i]);
+            if morph_way.is_none() || key > morph_key {
+                morph_way = Some(i - base);
+                morph_key = key;
+            }
+        }
+        morph_way
     }
 
     /// Insert `line`, returning the evicted line if a valid one was
@@ -404,13 +412,61 @@ impl CacheArray {
         kind: InsertKind,
         ready_at: Cycle,
     ) -> Option<EvictEvent> {
-        debug_assert_eq!(line % LINE_BYTES, 0, "insert of unaligned line");
         debug_assert!(self.probe(line).is_none(), "insert of already-present line");
+        let base = self.set_of(line) * self.ways;
+        let invalid = self.tags[base..base + self.ways]
+            .iter()
+            .position(|&t| t == TAG_INVALID);
+        self.fill(base, invalid, line, dirty, morph, kind, ready_at)
+    }
+
+    /// Find `line` or, if it is absent, insert it — in one walk over the
+    /// set's tags. A present line is returned untouched (no promotion,
+    /// no state change), exactly as [`CacheArray::probe_mut`] would; an
+    /// absent one is inserted exactly as [`CacheArray::insert`] would.
+    #[inline]
+    pub fn probe_or_insert(
+        &mut self,
+        line: Addr,
+        dirty: bool,
+        morph: bool,
+        kind: InsertKind,
+        ready_at: Cycle,
+    ) -> Placed<'_> {
+        let base = self.set_of(line) * self.ways;
+        let mut invalid = None;
+        for (w, &t) in self.tags[base..base + self.ways].iter().enumerate() {
+            if t == line {
+                return Placed::Present(EntryMut {
+                    a: self,
+                    i: base + w,
+                });
+            }
+            if t == TAG_INVALID && invalid.is_none() {
+                invalid = Some(w);
+            }
+        }
+        Placed::Inserted(self.fill(base, invalid, line, dirty, morph, kind, ready_at))
+    }
+
+    /// Install absent `line` in the set at slot `base` (whose first
+    /// invalid way is `invalid`), returning the displaced valid line.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn fill(
+        &mut self,
+        base: usize,
+        invalid: Option<usize>,
+        line: Addr,
+        dirty: bool,
+        morph: bool,
+        kind: InsertKind,
+        ready_at: Cycle,
+    ) -> Option<EvictEvent> {
+        debug_assert_eq!(line % LINE_BYTES, 0, "insert of unaligned line");
         self.stamp += 1;
         let stamp = self.stamp;
-        let set = self.set_of(line);
-        let way = self.victim(set, morph);
-        let i = set * self.ways + way;
+        let i = base + self.victim(base, invalid, morph);
         let evicted = (self.tags[i] != TAG_INVALID).then(|| {
             let f = self.flags[i];
             EvictEvent {
@@ -474,12 +530,11 @@ impl CacheArray {
     /// Check the trrîp deadlock-avoidance invariant: no set consists
     /// entirely of Morph-registered valid lines. (Vacuously true for sets
     /// with an invalid way.)
+    /// Reads only the flag bytes (see [`CacheArray::clear_slot`]).
     pub fn morph_invariant_holds(&self) -> bool {
-        (0..self.sets).all(|s| {
-            let base = s * self.ways;
-            (base..base + self.ways)
-                .any(|i| self.tags[i] == TAG_INVALID || self.flags[i] & F_MORPH == 0)
-        })
+        self.flags
+            .chunks_exact(self.ways)
+            .all(|set| set.iter().any(|&f| f & F_MORPH == 0))
     }
 
     /// Iterate over all valid entries, as assembled values.
@@ -488,6 +543,15 @@ impl CacheArray {
             .filter(|&i| self.tags[i] != TAG_INVALID)
             .map(|i| self.entry_at(i))
     }
+}
+
+/// Outcome of [`CacheArray::probe_or_insert`].
+#[derive(Debug)]
+pub enum Placed<'a> {
+    /// The line was already present; nothing changed.
+    Present(EntryMut<'a>),
+    /// The line was inserted; carries the displaced valid line, if any.
+    Inserted(Option<EvictEvent>),
 }
 
 /// Shared handle to one occupied way: inline field reads against the
@@ -1202,23 +1266,33 @@ mod tests {
         }
     }
 
-    /// Behavior identity: the SoA layout replays a long randomized mix of
-    /// probes, promoting lookups, inserts (all three kinds, all three
-    /// policies, morph and plain), and invalidates bit-for-bit like the
-    /// old array-of-structs layout — same hits, same victims, same
+    /// Behavior identity: the SoA layout with per-policy victim selection
+    /// replays a long randomized mix of probes, promoting lookups,
+    /// inserts (all three kinds, morph and plain), fused probe-or-inserts
+    /// and invalidates bit-for-bit like the old array-of-structs layout
+    /// with its single-pass victim scan — same hits, same victims, same
     /// eviction records, same occupancy and replacement-state evolution.
+    /// It runs the tiny 8×2 geometry plus the real ones: the L1d's
+    /// 64×8 LRU and 16-way RRIP and trrîp sets (the LLC bank's
+    /// associativity) with Morph inserts common enough to reach the
+    /// deadlock-avoidance path.
     #[test]
     fn soa_matches_aos_reference_on_random_sequences() {
-        for (seed, repl) in [
-            (0x5071u64, ReplPolicy::Lru),
-            (0x5072, ReplPolicy::Rrip),
-            (0x5073, ReplPolicy::Trrip),
-            (0x5074, ReplPolicy::Trrip),
+        // (seed, policy, sets, ways, share of inserts that carry a Morph)
+        for (seed, repl, sets, ways, morph_p) in [
+            (0x5071u64, ReplPolicy::Lru, 8, 2, 0.3),
+            (0x5072, ReplPolicy::Rrip, 8, 2, 0.3),
+            (0x5073, ReplPolicy::Trrip, 8, 2, 0.3),
+            (0x5074, ReplPolicy::Trrip, 8, 2, 0.3),
+            (0x5075, ReplPolicy::Lru, 64, 8, 0.3),
+            (0x5076, ReplPolicy::Rrip, 16, 16, 0.3),
+            (0x5077, ReplPolicy::Trrip, 16, 16, 0.5),
+            (0x5078, ReplPolicy::Trrip, 16, 16, 0.9),
         ] {
             let mut rng = Rng::new(seed);
             let cfg = CacheConfig {
-                size_bytes: 16 * LINE_BYTES, // 8 sets x 2 ways
-                ways: 2,
+                size_bytes: sets * ways * LINE_BYTES,
+                ways: ways as u32,
                 tag_latency: 1,
                 data_latency: 1,
                 repl,
@@ -1226,9 +1300,12 @@ mod tests {
             };
             let mut soa = CacheArray::new(cfg);
             let mut aos = aos_ref::AosArray::new(cfg);
-            for step in 0..4000u64 {
-                let addr = rng.below(96) * LINE_BYTES;
-                match rng.below(10) {
+            // Footprint 1.5x capacity: sets fill, and both hits and
+            // evictions stay common.
+            let lines = sets * ways * 3 / 2;
+            for step in 0..(lines * 40).max(4000) {
+                let addr = rng.below(lines) * LINE_BYTES;
+                match rng.below(12) {
                     0 => {
                         let ev_s = soa.invalidate(addr);
                         let ev_a = aos.invalidate(addr);
@@ -1238,6 +1315,31 @@ mod tests {
                         let hit_s = soa.touch(addr);
                         let hit_a = aos.touch(addr);
                         assert_eq!(hit_s, hit_a, "touch diverged at step {step}");
+                    }
+                    4..=5 => {
+                        // Fused walk: a present line is left untouched,
+                        // an absent one inserted as `insert` would.
+                        let dirty = rng.chance(0.5);
+                        let morph = rng.chance(morph_p);
+                        let present_a = aos.probe(addr).is_some();
+                        let ev_a = (!present_a)
+                            .then(|| aos.insert(addr, dirty, morph, InsertKind::Engine, step));
+                        match soa.probe_or_insert(addr, dirty, morph, InsertKind::Engine, step) {
+                            Placed::Present(e) => {
+                                assert!(
+                                    present_a,
+                                    "probe_or_insert hit a line the reference lacks"
+                                );
+                                assert_eq!(e.line(), addr);
+                            }
+                            Placed::Inserted(ev_s) => {
+                                assert_eq!(
+                                    Some(ev_s),
+                                    ev_a,
+                                    "probe_or_insert diverged at step {step}"
+                                );
+                            }
+                        }
                     }
                     _ => {
                         let present_s = soa.probe(addr).is_some();
@@ -1251,7 +1353,7 @@ mod tests {
                             ea.dirty = dirty;
                         } else {
                             let dirty = rng.chance(0.3);
-                            let morph = rng.chance(0.3);
+                            let morph = rng.chance(morph_p);
                             let kind = match rng.below(3) {
                                 0 => InsertKind::Demand,
                                 1 => InsertKind::Prefetch,
@@ -1265,7 +1367,7 @@ mod tests {
                 }
                 assert_eq!(soa.occupancy(), aos.occupancy());
                 // Spot-check assembled per-way state on a random probe.
-                let spot = rng.below(96) * LINE_BYTES;
+                let spot = rng.below(lines) * LINE_BYTES;
                 match (soa.probe(spot), aos.probe(spot)) {
                     (Some(s), Some(a)) => {
                         assert_eq!(s.line(), a.line);

@@ -22,6 +22,8 @@ pub mod array;
 pub mod mshr;
 pub mod prefetch;
 
-pub use array::{CacheArray, EntryMut, EntryRef, EvictCause, EvictEvent, InsertKind, TagEntry};
+pub use array::{
+    CacheArray, EntryMut, EntryRef, EvictCause, EvictEvent, InsertKind, Placed, TagEntry,
+};
 pub use mshr::MshrFile;
 pub use prefetch::{PrefetchBatch, StridePrefetcher};

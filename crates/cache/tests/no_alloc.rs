@@ -248,3 +248,92 @@ fn prefetcher_observe_is_allocation_free() {
     });
     assert_eq!(n, 0, "StridePrefetcher::observe allocated");
 }
+
+/// Steady-state callback bookkeeping must not allocate: once an engine
+/// has seen its working set of lines, Morphs and rTLB pages, `admit` and
+/// `complete` update the slot heap, the line-lock map, the
+/// serialization list and the rTLB in place, and checking the boxed
+/// engine out of the hierarchy and back in moves only a pointer.
+#[test]
+fn engine_admit_complete_and_checkout_are_allocation_free() {
+    use tako_core::TakoSystem;
+    use tako_sim::config::SystemConfig;
+    use tako_sim::stats::Stats;
+
+    let mut sys = TakoSystem::new(SystemConfig::default_16core());
+    let h = sys.hierarchy_mut();
+    let mut stats = Stats::new();
+    let mut t = 0u64;
+    let mut round = |k: u64| {
+        let tile = (k % 16) as usize;
+        let mut engine = h.engines[tile].take().expect("engine checked in");
+        // Six Morphs (more than the bitstream cache holds), three 2 MB
+        // pages, 256 lines per page.
+        let morph = (k % 6) as usize;
+        let line = ((k % 3) << 21) + (k % 256) * LINE_BYTES;
+        let serialize = k.is_multiple_of(2);
+        let start = engine.admit(morph, line, t, serialize, &mut stats);
+        engine.complete(morph, line, start, start + 40, serialize, &mut stats);
+        h.engines[tile] = Some(engine);
+        t += 7;
+    };
+    for k in 0..16_384 {
+        round(k);
+    }
+    let n = allocs_in(|| {
+        for k in 0..16_384 {
+            round(k);
+        }
+    });
+    assert_eq!(n, 0, "steady-state engine bookkeeping allocated");
+}
+
+/// The whole callback path of a PRIVATE Morph — Morph and engine
+/// check-out, admission, the dataflow trace of line reads and writes,
+/// completion and check-in — allocates nothing once warm.
+#[test]
+fn steady_state_callbacks_are_allocation_free() {
+    use tako_core::{CallbackKind, EngineCtx, Morph, MorphLevel, TakoSystem};
+    use tako_sim::config::SystemConfig;
+
+    /// Reads and rewrites the locked line, then copies it out to a
+    /// real buffer (the NVM study's data-copy primitive).
+    struct Touch {
+        out: u64,
+    }
+    impl Morph for Touch {
+        fn name(&self) -> &str {
+            "touch"
+        }
+        fn on_writeback(&mut self, ctx: &mut EngineCtx<'_>) {
+            let v = ctx.arg();
+            let (words, r) = ctx.line_read_all_u64(&[v]);
+            let sum = ctx.alu(&[r]);
+            let w = ctx.line_write_u64(0, words[1].wrapping_add(1), &[sum]);
+            let dst = self.out + ctx.offset() % (1 << 14);
+            ctx.copy_line_out(0, dst, LINE_BYTES as usize, &[w]);
+        }
+    }
+
+    let mut sys = TakoSystem::new(SystemConfig::default_16core());
+    let out = sys.alloc_real(1 << 14).base;
+    let handle = sys
+        .register_phantom(MorphLevel::Private, 1 << 16, Box::new(Touch { out }))
+        .expect("register");
+    let (id, base) = (handle.id(), handle.range().base);
+    let h = sys.hierarchy_mut();
+    let mut t = 0u64;
+    let mut round = |k: u64| {
+        let line = base + (k % 512) * LINE_BYTES;
+        t = h.run_callback(0, id, CallbackKind::OnWriteback, line, t) + 3;
+    };
+    for k in 0..4096 {
+        round(k);
+    }
+    let n = allocs_in(|| {
+        for k in 0..4096 {
+            round(k);
+        }
+    });
+    assert_eq!(n, 0, "steady-state callback path allocated");
+}

@@ -507,15 +507,14 @@ impl<'a> EngineCtx<'a> {
     pub fn copy_line_out(&mut self, offset: usize, dst: Addr, len: usize, deps: &[Val]) -> Val {
         let len = len.min(LINE_BYTES as usize);
         let (offset, read) = self.line_op(offset, len, deps);
-        let mut buf = vec![0u8; len];
-        self.hier
-            .mem
-            .read_bytes(self.line + offset as u64, &mut buf);
+        let mut line_buf = [0u8; LINE_BYTES as usize];
+        let buf = &mut line_buf[..len];
+        self.hier.mem.read_bytes(self.line + offset as u64, buf);
         let mut last = read;
         for dl in AddrRange::new(dst, len as u64).lines() {
             last = self.engine_mem_stream(dl.max(dst), &[read]);
         }
-        self.hier.mem.write_bytes(dst, &buf);
+        self.hier.mem.write_bytes(dst, buf);
         last
     }
 

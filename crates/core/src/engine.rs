@@ -43,10 +43,15 @@ pub const RTLB_PAGE_BITS: u32 = 21;
 pub const WC_BUFFERS: usize = 8;
 
 /// A small fully-associative LRU reverse TLB.
+///
+/// A callback's triggering lines fall in a few 2 MB pages, so the live
+/// translations are a short vector scanned per access. Every access
+/// takes a fresh stamp, so the LRU victim is always unique.
 #[derive(Debug, Clone)]
 pub struct Rtlb {
     capacity: usize,
-    entries: HashMap<u64, u64>,
+    /// Live `(page, last-use stamp)` pairs, in no particular order.
+    entries: Vec<(u64, u64)>,
     clock: u64,
 }
 
@@ -55,27 +60,28 @@ impl Rtlb {
     pub fn new(capacity: usize) -> Self {
         Rtlb {
             capacity: capacity.max(1),
-            entries: HashMap::new(),
+            entries: Vec::new(),
             clock: 0,
         }
     }
 
     /// Translate the page of `addr`; returns true on a hit. Misses
-    /// install the translation (evicting the LRU entry when full).
+    /// install the translation (replacing the LRU entry when full).
     pub fn access(&mut self, addr: Addr) -> bool {
         let page = addr >> RTLB_PAGE_BITS;
         self.clock += 1;
         let clock = self.clock;
-        if let Some(stamp) = self.entries.get_mut(&page) {
-            *stamp = clock;
+        if let Some(e) = self.entries.iter_mut().find(|e| e.0 == page) {
+            e.1 = clock;
             return true;
         }
         if self.entries.len() >= self.capacity {
-            if let Some((&victim, _)) = self.entries.iter().min_by_key(|(_, &s)| s) {
-                self.entries.remove(&victim);
+            if let Some(lru) = self.entries.iter_mut().min_by_key(|e| e.1) {
+                *lru = (page, clock);
             }
+        } else {
+            self.entries.push((page, clock));
         }
-        self.entries.insert(page, clock);
         false
     }
 
@@ -104,7 +110,10 @@ pub struct Engine {
     /// not serialized.
     slot_debt: usize,
     line_locks: HashMap<Addr, Cycle>,
-    morph_last: HashMap<MorphId, Cycle>,
+    /// Serialization cursor per serialized Morph, in ascending id
+    /// order. A short list, not a table indexed by id: a corrupt
+    /// snapshot id must not be able to size it.
+    morph_last: Vec<(MorphId, Cycle)>,
     bitstreams: Vec<MorphId>,
     callbacks_run: u64,
 }
@@ -124,7 +133,7 @@ impl Engine {
             slots,
             slot_debt: 0,
             line_locks: HashMap::new(),
-            morph_last: HashMap::new(),
+            morph_last: Vec::new(),
             bitstreams: Vec::new(),
             callbacks_run: 0,
             cfg,
@@ -177,7 +186,7 @@ impl Engine {
         }
         // Optional whole-Morph serialization (HATS).
         if serialize {
-            if let Some(&last) = self.morph_last.get(&morph) {
+            if let Some(&(_, last)) = self.morph_last.iter().find(|e| e.0 == morph) {
                 start = start.max(last);
             }
         }
@@ -221,10 +230,10 @@ impl Engine {
         }
         self.line_locks.insert(line, completion);
         if serialize {
-            self.morph_last
-                .entry(morph)
-                .and_modify(|c| *c = (*c).max(completion))
-                .or_insert(completion);
+            match self.morph_last.binary_search_by_key(&morph, |e| e.0) {
+                Ok(i) => self.morph_last[i].1 = self.morph_last[i].1.max(completion),
+                Err(i) => self.morph_last.insert(i, (morph, completion)),
+            }
         }
         self.callbacks_run += 1;
         stats
@@ -250,7 +259,7 @@ impl Engine {
 
     /// Drop scheduler history (used when a Morph is unregistered).
     pub fn forget_morph(&mut self, morph: MorphId) {
-        self.morph_last.remove(&morph);
+        self.morph_last.retain(|e| e.0 != morph);
         self.bitstreams.retain(|&m| m != morph);
     }
 }
@@ -260,7 +269,7 @@ impl tako_sim::checkpoint::Snapshot for Rtlb {
         w.section("rtlb");
         w.put_usize(self.capacity);
         w.put_u64(self.clock);
-        let mut entries: Vec<(u64, u64)> = self.entries.iter().map(|(p, s)| (*p, *s)).collect();
+        let mut entries = self.entries.clone();
         entries.sort_unstable();
         w.put_len(entries.len());
         for (page, stamp) in entries {
@@ -288,7 +297,7 @@ impl tako_sim::checkpoint::Snapshot for Rtlb {
         for _ in 0..n {
             let page = r.get_u64()?;
             let stamp = r.get_u64()?;
-            self.entries.insert(page, stamp);
+            self.entries.push((page, stamp));
         }
         Ok(())
     }
@@ -318,11 +327,8 @@ impl tako_sim::checkpoint::Snapshot for Engine {
             w.put_u64(a);
             w.put_u64(c);
         }
-        let mut last: Vec<(MorphId, Cycle)> =
-            self.morph_last.iter().map(|(m, c)| (*m, *c)).collect();
-        last.sort_unstable();
-        w.put_len(last.len());
-        for (m, c) in last {
+        w.put_len(self.morph_last.len());
+        for &(m, c) in &self.morph_last {
             w.put_usize(m);
             w.put_u64(c);
         }
@@ -365,7 +371,7 @@ impl tako_sim::checkpoint::Snapshot for Engine {
         for _ in 0..n {
             let m = r.get_usize()?;
             let c = r.get_u64()?;
-            self.morph_last.insert(m, c);
+            self.morph_last.push((m, c));
         }
         let n = r.get_len()?;
         self.bitstreams.clear();

@@ -83,19 +83,19 @@ impl Hierarchy {
             .mesh
             .transfer(tile, bank, Payload::Control, &mut self.bus);
         t = self.bank_start(bank, t);
-        let sharers = self.llc[bank]
-            .probe(line)
-            .map(|e| e.sharers() & !(1u64 << tile))
-            .unwrap_or(0);
+        // One walk reads the other sharers and records the new owner:
+        // invalidating private copies never touches the LLC entry.
+        let sharers = self.llc[bank].probe_mut(line).map_or(0, |mut e| {
+            let others = e.sharers() & !(1u64 << tile);
+            e.set_sharers(1 << tile);
+            e.set_owner(Some(tile as u8));
+            others
+        });
         let mut inval = 0;
         for s in Self::sharer_tiles(sharers) {
             self.bus.emit(TxnEvent::CoherenceInval);
             self.merge_private_dirty(s, line, PrivateScope::L1AndL2);
             inval = inval.max(self.mesh.transfer(bank, s, Payload::Control, &mut self.bus));
-        }
-        if let Some(mut e) = self.llc[bank].probe_mut(line) {
-            e.set_sharers(1 << tile);
-            e.set_owner(Some(tile as u8));
         }
         t + inval
             + self

@@ -9,7 +9,7 @@
 //! below-LLC resolve ([`Hierarchy::fetch_line_below`]: DRAM in parallel
 //! with `onMiss`, or callback-materialized phantoms).
 
-use tako_cache::array::InsertKind;
+use tako_cache::array::{InsertKind, Placed};
 use tako_mem::addr::{is_phantom, Addr};
 use tako_noc::Payload;
 use tako_sim::config::LINE_BYTES;
@@ -218,22 +218,23 @@ impl Hierarchy {
         let bank = self.mesh.bank_of_line(line);
         let t = t + self.mesh.transfer(tile, bank, Payload::Line, &mut self.bus);
         let t = self.bank_start(bank, t);
-        if let Some(mut e) = self.llc[bank].probe_mut(line) {
-            e.set_dirty(true);
-            e.set_sharers(e.sharers() & !(1u64 << tile));
-            if e.owner() == Some(tile as u8) {
-                e.set_owner(None);
-            }
-            return;
-        }
-        // Not present (engine L1ds and streaming stores are not covered
-        // by inclusion): install the dirty line in the LLC so it can
-        // coalesce further writes; phantom SHARED-Morph lines keep their
-        // Morph bit so the eventual eviction still triggers a callback.
+        // If not present (engine L1ds and streaming stores are not
+        // covered by inclusion), install the dirty line in the LLC so it
+        // can coalesce further writes; phantom SHARED-Morph lines keep
+        // their Morph bit so the eventual eviction still triggers a
+        // callback. One walk of the set decides between the two.
         let is_morph =
             is_phantom(line) && matches!(self.registry.lookup(line), Some((_, MorphLevel::Shared)));
-        if let Some(ev) = self.llc[bank].insert(line, true, is_morph, InsertKind::Engine, t) {
-            self.handle_llc_evict(bank, ev, t);
+        match self.llc[bank].probe_or_insert(line, true, is_morph, InsertKind::Engine, t) {
+            Placed::Present(mut e) => {
+                e.set_dirty(true);
+                e.set_sharers(e.sharers() & !(1u64 << tile));
+                if e.owner() == Some(tile as u8) {
+                    e.set_owner(None);
+                }
+            }
+            Placed::Inserted(Some(ev)) => self.handle_llc_evict(bank, ev, t),
+            Placed::Inserted(None) => {}
         }
     }
 

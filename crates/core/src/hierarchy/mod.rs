@@ -163,7 +163,8 @@ pub struct Hierarchy {
     /// Registered Morphs (the TLB bits + OS table).
     pub registry: MorphRegistry,
     /// Per-tile engines; `None` while checked out to run a callback.
-    pub engines: Vec<Option<Engine>>,
+    /// Boxed so a check-out/check-in moves a pointer, not the engine.
+    pub engines: Vec<Option<Box<Engine>>>,
     /// Interrupts raised by callbacks, awaiting delivery.
     pub interrupts: Vec<Interrupt>,
     /// Callbacks whose Morph was busy when they triggered (a callback's
@@ -205,7 +206,7 @@ impl Hierarchy {
             .map(|_| CacheArray::with_index_shift(cfg.llc_bank, bank_bits))
             .collect();
         let engines = (0..cfg.tiles)
-            .map(|_| Some(Engine::new(cfg.engine)))
+            .map(|_| Some(Box::new(Engine::new(cfg.engine))))
             .collect();
         let mshrs = (0..cfg.tiles)
             .map(|_| MshrFile::new(cfg.llc_bank.mshrs.max(2) as usize))
@@ -276,8 +277,14 @@ impl Hierarchy {
         self.mem.write_bytes(line, &[0u8; LINE_BYTES as usize]);
     }
 
-    fn sharer_tiles(mask: u64) -> impl Iterator<Item = usize> {
-        (0..64).filter(move |i| mask & (1 << i) != 0)
+    /// The tiles set in a sharer `mask`, in ascending order: one step
+    /// per set bit.
+    fn sharer_tiles(mut mask: u64) -> impl Iterator<Item = usize> {
+        std::iter::from_fn(move || {
+            let tile = (mask != 0).then(|| mask.trailing_zeros() as usize)?;
+            mask &= mask - 1;
+            Some(tile)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -363,7 +370,7 @@ impl Hierarchy {
         // run on a transient engine with the same resources.
         let taken = self.engines[engine_tile].take();
         let is_temp = taken.is_none();
-        let mut engine = taken.unwrap_or_else(|| Engine::new(self.cfg.engine));
+        let mut engine = taken.unwrap_or_else(|| Box::new(Engine::new(self.cfg.engine)));
         let start = engine.admit(morph_id, line, arrival, serialize, &mut self.bus.stats);
         self.bus.emit(TxnEvent::CallbackRun(match kind {
             CallbackKind::OnMiss => CbPhase::OnMiss,

@@ -7,7 +7,7 @@
 //! as it goes. The watchdog observes every completed walk here, off the
 //! walk body, and the epoch sweep reads its counters through the bus.
 
-use tako_cache::array::InsertKind;
+use tako_cache::array::{EvictEvent, InsertKind, Placed};
 use tako_cpu::AccessKind;
 use tako_mem::addr::{is_phantom, line_of, Addr};
 use tako_sim::energy::EnergyModel;
@@ -257,24 +257,34 @@ impl Hierarchy {
             e.ready_at()
         };
         self.bus.emit(TxnEvent::Hit(LevelId::L1d));
-        let mut done = (t + l1_cfg.tag_latency + l1_cfg.data_latency).max(ready);
-        if write {
-            let needs_upgrade = self.tiles[tile]
-                .l2
-                .probe(line)
-                .map(|le| !le.exclusive())
-                .unwrap_or(false);
-            if needs_upgrade {
-                done = self.upgrade(tile, line, done);
-                if let Some(mut le) = self.tiles[tile].l2.probe_mut(line) {
-                    le.set_exclusive(true);
-                    le.set_dirty(true);
-                }
-            } else if let Some(mut le) = self.tiles[tile].l2.probe_mut(line) {
+        let done = (t + l1_cfg.tag_latency + l1_cfg.data_latency).max(ready);
+        Some(if write {
+            self.l1_write_hit(tile, line, done)
+        } else {
+            done
+        })
+    }
+
+    /// The L2 side of an L1d write hit at `done`: an exclusive L2 copy
+    /// takes the silent write (dirty) in one walk of its set; a shared
+    /// one is upgraded first and ends dirty and exclusive (the returned
+    /// completion includes the upgrade); an absent one is left alone.
+    fn l1_write_hit(&mut self, tile: TileId, line: Addr, done: Cycle) -> Cycle {
+        let exclusive = self.tiles[tile].l2.probe_mut(line).is_none_or(|mut le| {
+            if le.exclusive() {
                 le.set_dirty(true);
             }
+            le.exclusive()
+        });
+        if exclusive {
+            return done;
         }
-        Some(done)
+        let done = self.upgrade(tile, line, done);
+        if let Some(mut le) = self.tiles[tile].l2.probe_mut(line) {
+            le.set_exclusive(true);
+            le.set_dirty(true);
+        }
+        done
     }
 
     fn core_access_inner(&mut self, tile: TileId, kind: AccessKind, addr: Addr, t: Cycle) -> Cycle {
@@ -303,22 +313,7 @@ impl Hierarchy {
             e.set_prefetched(false);
             if write {
                 e.set_dirty(true);
-            }
-            if write {
-                let needs_upgrade = self.tiles[tile]
-                    .l2
-                    .probe(line)
-                    .map(|le| !le.exclusive())
-                    .unwrap_or(false);
-                if needs_upgrade {
-                    done = self.upgrade(tile, line, done);
-                    if let Some(mut le) = self.tiles[tile].l2.probe_mut(line) {
-                        le.set_exclusive(true);
-                        le.set_dirty(true);
-                    }
-                } else if let Some(mut le) = self.tiles[tile].l2.probe_mut(line) {
-                    le.set_dirty(true);
-                }
+                done = self.l1_write_hit(tile, line, done);
             }
             return self.retire_profiled(txn, done);
         }
@@ -418,38 +413,32 @@ impl Hierarchy {
         self.retire_profiled(txn, done)
     }
 
-    /// Fill `line` into `tile`'s L1d, merging any displaced dirty line
-    /// into the (inclusive) L2.
+    /// Fill `line` into `tile`'s L1d (a line already present only takes
+    /// `dirty`) and route the displaced victim.
     pub(super) fn fill_l1(&mut self, tile: TileId, line: Addr, dirty: bool, ready: Cycle) {
-        if self.tiles[tile].l1d.probe(line).is_some() {
-            if dirty {
-                if let Some(mut e) = self.tiles[tile].l1d.probe_mut(line) {
+        match self.tiles[tile]
+            .l1d
+            .probe_or_insert(line, dirty, false, InsertKind::Demand, ready)
+        {
+            Placed::Present(mut e) => {
+                if dirty {
                     e.set_dirty(true);
                 }
             }
-            return;
+            Placed::Inserted(Some(ev)) => self.l1_victim(tile, ev, ready),
+            Placed::Inserted(None) => {}
         }
-        self.l1_install(tile, line, dirty, InsertKind::Demand, ready);
     }
 
-    /// Insert into the L1d and route the displaced victim: dirty lines
-    /// merge into the (inclusive) L2, or — for lines the L2 does not
-    /// back, e.g. streaming stores — flow down to the LLC.
-    fn l1_install(
-        &mut self,
-        tile: TileId,
-        line: Addr,
-        dirty: bool,
-        kind: InsertKind,
-        ready: Cycle,
-    ) {
-        if let Some(ev) = self.tiles[tile].l1d.insert(line, dirty, false, kind, ready) {
-            if ev.dirty {
-                if let Some(mut e) = self.tiles[tile].l2.probe_mut(ev.line) {
-                    e.set_dirty(true);
-                } else if !is_phantom(ev.line) {
-                    self.writeback_to_llc(tile, ev.line, ready);
-                }
+    /// Route a line displaced from the L1d at `ready`: a dirty one
+    /// merges into the (inclusive) L2, or — when the L2 does not back
+    /// it, e.g. a streaming store — flows down to the LLC.
+    fn l1_victim(&mut self, tile: TileId, ev: EvictEvent, ready: Cycle) {
+        if ev.dirty {
+            if let Some(mut e) = self.tiles[tile].l2.probe_mut(ev.line) {
+                e.set_dirty(true);
+            } else if !is_phantom(ev.line) {
+                self.writeback_to_llc(tile, ev.line, ready);
             }
         }
     }
@@ -459,14 +448,22 @@ impl Hierarchy {
     /// hierarchy normally.
     fn core_write_stream(&mut self, tile: TileId, line: Addr, t: Cycle) -> Cycle {
         let l1_cfg = self.cfg.l1d;
-        if let Some(mut e) = self.tiles[tile].l1d.probe_mut(line) {
-            e.set_dirty(true);
-            self.bus.emit(TxnEvent::Hit(LevelId::L1d));
-            return t + l1_cfg.tag_latency + l1_cfg.data_latency;
-        }
-        self.bus.emit(TxnEvent::Miss(LevelId::L1d));
         let done = t + l1_cfg.tag_latency + l1_cfg.data_latency;
-        self.l1_install(tile, line, true, InsertKind::Engine, done);
+        match self.tiles[tile]
+            .l1d
+            .probe_or_insert(line, true, false, InsertKind::Engine, done)
+        {
+            Placed::Present(mut e) => {
+                e.set_dirty(true);
+                self.bus.emit(TxnEvent::Hit(LevelId::L1d));
+            }
+            Placed::Inserted(victim) => {
+                self.bus.emit(TxnEvent::Miss(LevelId::L1d));
+                if let Some(ev) = victim {
+                    self.l1_victim(tile, ev, done);
+                }
+            }
+        }
         done
     }
 

@@ -89,6 +89,16 @@ impl CoreTiming {
         self.instrs_retired += n;
         self.instr_acc += n;
         let width = u64::from(self.cfg.width.max(1));
+        // Almost every call adds one or two instructions: below two
+        // widths the quotient is 0 or 1, so skip both divisions.
+        if self.instr_acc < width {
+            return;
+        }
+        if self.instr_acc < 2 * width {
+            self.now += 1;
+            self.instr_acc -= width;
+            return;
+        }
         self.now += self.instr_acc / width;
         self.instr_acc %= width;
     }
@@ -249,6 +259,45 @@ mod tests {
         c.branch(true);
         // 1 issue cycle + 8-cycle in-order flush penalty.
         assert_eq!(c.now(), 1 + 1 + 8);
+    }
+
+    /// `compute` skips its divisions below two issue widths; the
+    /// reference always divides. Over seeded runs of `compute(n)` for
+    /// `n` up to 100, interleaved with flushing mispredictions, both keep
+    /// the same clock and the same leftover instruction count.
+    #[test]
+    fn compute_matches_division_form() {
+        let mut rng = tako_sim::rng::Rng::new(0xC0DE);
+        for width in 1..=4u32 {
+            let mut cfg = CoreConfig::goldmont();
+            cfg.width = width;
+            let mut c = CoreTiming::new(cfg);
+            let (mut now, mut acc) = (0u64, 0u64);
+            for step in 0..20_000 {
+                if rng.chance(0.05) {
+                    c.branch(true);
+                    acc += 1;
+                    now += acc / u64::from(width) + cfg.mispredict_penalty;
+                    acc = 0;
+                } else {
+                    // Mostly the small counts the hot path sees.
+                    let n = if rng.chance(0.7) {
+                        rng.below(3)
+                    } else {
+                        rng.below(101)
+                    };
+                    c.compute(n);
+                    acc += n;
+                    now += acc / u64::from(width);
+                    acc %= u64::from(width);
+                }
+                assert_eq!(
+                    (c.now(), c.instr_acc),
+                    (now, acc),
+                    "width {width} step {step}"
+                );
+            }
+        }
     }
 
     #[test]

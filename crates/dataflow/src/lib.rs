@@ -99,9 +99,11 @@ impl PePool {
         if self.unlimited {
             return ready;
         }
-        let Reverse(free_at) = self.free.pop().expect("pool has servers");
-        let fire = ready.max(free_at);
-        self.free.push(Reverse(fire + occupancy));
+        // Replace the earliest-free server in place: one sift-down
+        // instead of a pop's sift-down plus a push's sift-up.
+        let mut top = self.free.peek_mut().expect("pool has servers");
+        let fire = ready.max(top.0);
+        *top = Reverse(fire + occupancy);
         fire
     }
 }
@@ -614,6 +616,37 @@ mod proptests {
             }
             assert_eq!(result.instrs, ops.len() as u64);
             assert_eq!(result.mem_ops, ops.iter().filter(|o| o.0).count() as u64);
+        }
+    }
+
+    /// `PePool::reserve` replaces the heap top in place; the reference
+    /// pops the earliest-free server and pushes it back busy. Over seeded
+    /// request sequences both return the same fire times and hold the
+    /// same multiset of busy-until cycles.
+    #[test]
+    fn reserve_matches_pop_push_reference() {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let mut rng = Rng::new(0x9EE7);
+        for servers in [1u32, 2, 3, 5, 8] {
+            let mut pool = PePool::new(servers);
+            let mut reference: BinaryHeap<Reverse<Cycle>> =
+                (0..servers).map(|_| Reverse(0)).collect();
+            let mut now = 0;
+            for step in 0..5000 {
+                now += rng.below(4);
+                let ready = now + rng.below(6);
+                let occupancy = 1 + rng.below(5);
+                let Reverse(free_at) = reference.pop().expect("servers");
+                let want = ready.max(free_at);
+                reference.push(Reverse(want + occupancy));
+                assert_eq!(pool.reserve(ready, occupancy), want, "step {step}");
+            }
+            let mut got: Vec<Cycle> = pool.free.iter().map(|r| r.0).collect();
+            let mut want: Vec<Cycle> = reference.iter().map(|r| r.0).collect();
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want, "{servers} servers");
         }
     }
 
